@@ -3,7 +3,7 @@
 //! instance sizes.
 
 use chronus_baselines::or::or_rounds_greedy;
-use chronus_core::greedy::{greedy_schedule, greedy_schedule_with, GreedyConfig};
+use chronus_core::greedy::greedy_schedule;
 use chronus_core::tree::check_feasibility;
 use chronus_net::{motivating_example, InstanceGenerator, InstanceGeneratorConfig};
 use chronus_opt::{optimal_schedule_with, OptConfig};
@@ -27,23 +27,16 @@ fn bench_greedy(c: &mut Criterion) {
     g.finish();
 }
 
-/// The exact gate's two backends head to head: full re-simulation per
-/// check vs the incremental link×time ledger, one flow, growing
-/// switch counts.
-fn bench_incremental_gate(c: &mut Criterion) {
+/// Greedy with its incremental exact gate on fig10-scale single-flow
+/// instances, growing switch counts.
+fn bench_exact_gate(c: &mut Criterion) {
     let mut g = c.benchmark_group("greedy_exact_gate");
     for n in [8usize, 64, 512] {
         let inst = chronus_bench::fig10::scale_instance(n.max(8), 7 + n as u64)
             .unwrap_or_else(|| instance(n));
-        for (name, incremental) in [("incremental", true), ("full", false)] {
-            let cfg = GreedyConfig {
-                incremental_gate: incremental,
-                ..Default::default()
-            };
-            g.bench_with_input(BenchmarkId::new(name, n), &inst, |b, inst| {
-                b.iter(|| greedy_schedule_with(std::hint::black_box(inst), cfg))
-            });
-        }
+        g.bench_with_input(BenchmarkId::from_parameter(n), &inst, |b, inst| {
+            b.iter(|| greedy_schedule(std::hint::black_box(inst)))
+        });
     }
     g.finish();
 }
@@ -80,7 +73,7 @@ fn bench_opt(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_greedy,
-    bench_incremental_gate,
+    bench_exact_gate,
     bench_tree,
     bench_or,
     bench_opt

@@ -1,43 +1,27 @@
 //! CI gate over the committed bench JSONs: turns the bench-smoke job
 //! from "print the numbers" into an assertion.
 //!
-//! Usage:
-//! `bench_check <baseline.json> <fresh.json> [<sim_baseline.json> <sim_fresh.json>]`
+//! Usage: `bench_check <baseline.json> <fresh.json>`
 //!
-//! Over `BENCH_incremental.json` (the first pair), two checks, exit
-//! code 1 on any failure:
+//! Over `BENCH_simulate.json` (end-to-end default greedy), four checks
+//! per size, exit code 1 on any failure:
 //!
-//! 1. **Speedup floor** — the fresh run's `gate_speedup` must be ≥ 1.0
-//!    at every size where the incremental ledger is supposed to win
-//!    (n ∈ {64, 512, 2048}). The n=8 point is deliberately excluded
-//!    from the *gate* comparison: below `incremental_cutoff` the gate
-//!    now runs the full backend on both arms (the raw ledger recorded
-//!    0.58× there before the cutoff landed), so the ratio is ~1 noise.
-//! 2. **Makespan pin** — each size's greedy `makespan` must equal the
-//!    committed baseline's. Timing numbers drift with hardware;
-//!    schedule *quality* must not. A makespan change means the greedy
-//!    scheduler's behaviour changed, which a perf-smoke job must not
-//!    let slide through silently.
+//! 1. **Makespan pin** — each size's greedy `makespan` must equal the
+//!    committed baseline's. Timing drifts with hardware; schedule
+//!    *quality* must not.
+//! 2. **Simulator-call pin** — each size's `simulator_calls` must equal
+//!    the baseline's. The count is deterministic, so a change means the
+//!    greedy loop's commit sequence changed.
+//! 3. **Cell-ratio floor** — at n ∈ {64, 512, 2048}, `cell_ratio`
+//!    (cells a full re-simulation per check would visit ÷ cells the
+//!    incremental gate visited) must not fall below the committed
+//!    value. It is a deterministic counter ratio, so the floor has no
+//!    noise margin; n=8 is too small for the ratio to mean anything.
+//! 4. **Wall-clock cap** — `ns_per_op` (fastest rep) must stay within
+//!    1.5× the committed baseline at every size.
 //!
-//! Over `BENCH_simulate.json` (the optional second pair), the same two
-//! shapes for the flat-scan optimization:
-//!
-//! 3. **End-to-end speedup floor** — `e2e_speedup` (legacy scan ÷ flat
-//!    scan, whole `greedy_schedule` wall clock) must clear per-size
-//!    floors well below the committed numbers but high enough to catch
-//!    a real regression: ≥1.2× at 64, ≥3× at 512, ≥5× at 2048 (the
-//!    committed run records 1.7×/6.8×/29×). n=8 carries a ≥0.95 floor:
-//!    below `incremental_cutoff` the default config now takes the
-//!    legacy walks on *both* arms (the flat tables recorded a 0.90×
-//!    small-n slowdown before that fallback landed), so the ratio must
-//!    sit at ~1.0 noise and anything under 0.95 means small instances
-//!    quietly regressed again.
-//! 4. **Makespan pin** — as above, at every emitted size; the flat
-//!    scan must be behaviourally invisible.
-//!
-//! A further series is printed but never gated: per-size `gate_nanos`
-//! deltas against the baseline (gate wall-clock drifts with hardware,
-//! so it is CI-log information, not an assertion).
+//! A further series is printed but never gated: per-size
+//! `gate_ns_per_op` deltas against the baseline.
 //!
 //! A second mode, `bench_check --multiflow <baseline.json> <fresh.json>`,
 //! gates `BENCH_multiflow.json` (sharded vs joint planning):
@@ -61,20 +45,19 @@
 
 use std::process::ExitCode;
 
-/// Sizes whose gate speedup must clear 1.0 (see module docs for why
-/// n=8 is excluded).
-const GATED_SIZES: &[usize] = &[64, 512, 2048];
-
-/// All sizes the benches emit; makespans are pinned at every one.
+/// All sizes `bench_simulate` emits.
 const ALL_SIZES: &[usize] = &[8, 64, 512, 2048];
 
-/// Per-size floors for the flat-scan end-to-end speedup (size, floor).
-/// n=8 runs the legacy scan on both arms (small-n cutoff), so its
-/// floor guards against the ratio drifting below parity noise.
-const E2E_FLOORS: &[(usize, f64)] = &[(8, 0.95), (64, 1.2), (512, 3.0), (2048, 5.0)];
+/// Sizes whose `cell_ratio` is floored at the committed value.
+const CELL_RATIO_SIZES: &[usize] = &[64, 512, 2048];
+
+/// Largest allowed `ns_per_op` as a multiple of the committed one.
+const NS_PER_OP_CAP: f64 = 1.5;
 
 /// Every cell `bench_multiflow` emits, as `{n}x{K}` key suffixes.
-const MULTIFLOW_CELLS: &[&str] = &["512x8", "512x32", "512x128", "2048x8", "2048x32", "2048x128"];
+const MULTIFLOW_CELLS: &[&str] = &[
+    "512x8", "512x32", "512x128", "2048x8", "2048x32", "2048x128",
+];
 
 /// The one gated multiflow cell and its sharded-speedup floor. The
 /// committed run records ~2.9× here; 2.0 catches a real regression
@@ -172,128 +155,85 @@ fn check_multiflow(baseline_path: &str, fresh_path: &str) -> ExitCode {
     }
 }
 
+/// One gated comparison of a fresh field against its committed value;
+/// `ok(baseline, fresh)` decides, and `what` names the rule in the log.
+fn gate(
+    baseline: &str,
+    fresh: &str,
+    key: &str,
+    field: &str,
+    what: &str,
+    ok: impl Fn(f64, f64) -> bool,
+) -> bool {
+    match (lookup(baseline, key, field), lookup(fresh, key, field)) {
+        (Some(b), Some(f)) if ok(b, f) => {
+            println!("ok: {key} {field} {f} ({what} baseline {b})");
+            true
+        }
+        (Some(b), Some(f)) => {
+            eprintln!("FAIL: {key} {field} {f} breaks {what} baseline {b}");
+            false
+        }
+        (None, _) => {
+            eprintln!("FAIL: {key} {field} missing from the baseline");
+            false
+        }
+        (_, None) => {
+            eprintln!("FAIL: {key} {field} missing from the fresh run");
+            false
+        }
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
-    let (baseline_path, fresh_path, sim_paths) = match args.as_slice() {
+    let (baseline_path, fresh_path) = match args.as_slice() {
         [_, flag, b, f] if flag == "--multiflow" => return check_multiflow(b, f),
-        [_, b, f] => (b.clone(), f.clone(), None),
-        [_, b, f, sb, sf] => (b.clone(), f.clone(), Some((sb.clone(), sf.clone()))),
+        [_, b, f] => (b, f),
         _ => {
             eprintln!(
-                "usage: bench_check <baseline.json> <fresh.json> \
-                 [<sim_baseline.json> <sim_fresh.json>]\n\
+                "usage: bench_check <baseline.json> <fresh.json>\n\
                  \u{20}      bench_check --multiflow <baseline.json> <fresh.json>"
             );
             return ExitCode::FAILURE;
         }
     };
-    let (Some(baseline), Some(fresh)) = (read(&baseline_path), read(&fresh_path)) else {
+    let (Some(baseline), Some(fresh)) = (read(baseline_path), read(fresh_path)) else {
         return ExitCode::FAILURE;
     };
 
     let mut failures = 0u32;
-
-    for &n in GATED_SIZES {
-        let key = format!("summary/{n}");
-        match lookup(&fresh, &key, "gate_speedup") {
-            Some(s) if s >= 1.0 => println!("ok: {key} gate_speedup {s:.2} >= 1.0"),
-            Some(s) => {
-                eprintln!("FAIL: {key} gate_speedup {s:.2} < 1.0 — incremental gate regressed");
-                failures += 1;
-            }
-            None => {
-                eprintln!("FAIL: {key} gate_speedup missing from {fresh_path}");
-                failures += 1;
-            }
+    let mut check = |key: &str, field: &str, what: &str, ok: &dyn Fn(f64, f64) -> bool| {
+        if !gate(&baseline, &fresh, key, field, what, ok) {
+            failures += 1;
         }
-    }
-
+    };
     for &n in ALL_SIZES {
-        let key = format!("summary/{n}");
-        let (base_m, fresh_m) = (
-            lookup(&baseline, &key, "makespan"),
-            lookup(&fresh, &key, "makespan"),
-        );
-        match (base_m, fresh_m) {
-            (Some(b), Some(f)) if b == f => println!("ok: {key} makespan {f} unchanged"),
-            (Some(b), Some(f)) => {
-                eprintln!("FAIL: {key} makespan changed: baseline {b}, fresh {f}");
-                failures += 1;
-            }
-            (None, _) => {
-                eprintln!("FAIL: {key} makespan missing from baseline {baseline_path}");
-                failures += 1;
-            }
-            (_, None) => {
-                eprintln!("FAIL: {key} makespan missing from {fresh_path}");
-                failures += 1;
-            }
+        let key = format!("greedy/{n}");
+        check(&key, "makespan", "equal to", &|b, f| f == b);
+        check(&key, "simulator_calls", "equal to", &|b, f| f == b);
+        if CELL_RATIO_SIZES.contains(&n) {
+            check(&key, "cell_ratio", "at least", &|b, f| f >= b);
         }
+        check(&key, "ns_per_op", "at most 1.5x", &|b, f| {
+            f <= NS_PER_OP_CAP * b
+        });
     }
 
-    if let Some((sim_baseline_path, sim_fresh_path)) = &sim_paths {
-        let (Some(sim_baseline), Some(sim_fresh)) = (read(sim_baseline_path), read(sim_fresh_path))
-        else {
-            return ExitCode::FAILURE;
-        };
-
-        for &(n, floor) in E2E_FLOORS {
-            let key = format!("summary/{n}");
-            match lookup(&sim_fresh, &key, "e2e_speedup") {
-                Some(s) if s >= floor => {
-                    println!("ok: sim {key} e2e_speedup {s:.2} >= {floor:.2}");
-                }
-                Some(s) => {
-                    eprintln!(
-                        "FAIL: sim {key} e2e_speedup {s:.2} < {floor:.2} — \
-                         flat-scan greedy regressed"
-                    );
-                    failures += 1;
-                }
-                None => {
-                    eprintln!("FAIL: sim {key} e2e_speedup missing from {sim_fresh_path}");
-                    failures += 1;
-                }
-            }
-        }
-
-        for &n in ALL_SIZES {
-            let key = format!("summary/{n}");
-            match (
-                lookup(&sim_baseline, &key, "makespan"),
-                lookup(&sim_fresh, &key, "makespan"),
-            ) {
-                (Some(b), Some(f)) if b == f => println!("ok: sim {key} makespan {f} unchanged"),
-                (Some(b), Some(f)) => {
-                    eprintln!("FAIL: sim {key} makespan changed: baseline {b}, fresh {f}");
-                    failures += 1;
-                }
-                (None, _) => {
-                    eprintln!("FAIL: sim {key} makespan missing from baseline {sim_baseline_path}");
-                    failures += 1;
-                }
-                (_, None) => {
-                    eprintln!("FAIL: sim {key} makespan missing from {sim_fresh_path}");
-                    failures += 1;
-                }
-            }
-        }
-    }
-
-    // Informational only — gate-time wall-clock drifts with hardware,
-    // so the deltas are printed for the CI log but never gated on.
+    // Informational only — gate wall-clock is already inside the gated
+    // `ns_per_op`; the deltas are printed for the CI log.
     for &n in ALL_SIZES {
-        let key = format!("summary/{n}");
+        let key = format!("greedy/{n}");
         match (
-            lookup(&baseline, &key, "gate_nanos"),
-            lookup(&fresh, &key, "gate_nanos"),
+            lookup(&baseline, &key, "gate_ns_per_op"),
+            lookup(&fresh, &key, "gate_ns_per_op"),
         ) {
             (Some(b), Some(f)) if b > 0.0 => println!(
-                "info: {key} gate_nanos {f:.0} (baseline {b:.0}, {:+.1}%)",
+                "info: {key} gate_ns_per_op {f:.0} (baseline {b:.0}, {:+.1}%)",
                 (f - b) / b * 100.0
             ),
-            (_, Some(f)) => println!("info: {key} gate_nanos {f:.0} (no baseline value)"),
-            (_, None) => println!("info: {key} gate_nanos not recorded in {fresh_path}"),
+            (_, Some(f)) => println!("info: {key} gate_ns_per_op {f:.0} (no baseline value)"),
+            (_, None) => println!("info: {key} gate_ns_per_op not recorded in {fresh_path}"),
         }
     }
 

@@ -80,7 +80,10 @@ fn build_fabric(arity: usize) -> Fabric {
         let mut found = 0usize;
         for s in net.switches() {
             if let Some(name) = net.switch_name(s) {
-                if let Some(i) = name.strip_prefix(prefix).and_then(|t| t.parse::<usize>().ok()) {
+                if let Some(i) = name
+                    .strip_prefix(prefix)
+                    .and_then(|t| t.parse::<usize>().ok())
+                {
                     ids[i] = s;
                     found += 1;
                 }
@@ -167,8 +170,20 @@ fn flows_for(fabric: &Fabric, kflows: usize, seed: u64) -> Vec<Flow> {
             Flow::new(
                 FlowId(flows.len() as u32),
                 CROSS_DEMAND,
-                Path::new(vec![edge(p, 3), agg(p, a0), core(a0, m), agg(d, a0), edge(d, 4)]),
-                Path::new(vec![edge(p, 3), agg(p, a1), core(a1, m), agg(d, a1), edge(d, 4)]),
+                Path::new(vec![
+                    edge(p, 3),
+                    agg(p, a0),
+                    core(a0, m),
+                    agg(d, a0),
+                    edge(d, 4),
+                ]),
+                Path::new(vec![
+                    edge(p, 3),
+                    agg(p, a1),
+                    core(a1, m),
+                    agg(d, a1),
+                    edge(d, 4),
+                ]),
             )
             .expect("cross fixture paths"),
         );
@@ -210,8 +225,9 @@ fn main() {
             let mut stats = ShardStats::default();
             let mut ws = SimWorkspace::default();
             for seed in 0..instances_for(n) as u64 {
-                let inst = UpdateInstance::new(fabric.net.clone(), flows_for(&fabric, kflows, seed))
-                    .unwrap_or_else(|e| panic!("bench instance {n}x{kflows}/{seed}: {e}"));
+                let inst =
+                    UpdateInstance::new(fabric.net.clone(), flows_for(&fabric, kflows, seed))
+                        .unwrap_or_else(|e| panic!("bench instance {n}x{kflows}/{seed}: {e}"));
 
                 let t0 = Instant::now();
                 let out = shard_schedule_in(&inst, shard_cfg, &mut ws);

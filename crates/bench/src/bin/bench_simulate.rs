@@ -1,163 +1,122 @@
-//! Flat-scan end-to-end greedy benchmark, machine readable.
+//! End-to-end greedy benchmark, machine readable.
 //!
-//! `bench_incremental` isolates the exact *gate*; this bench measures
-//! what the gate numbers cannot: the whole `greedy_schedule` wall
-//! clock, where profiling showed the per-step candidate scan
-//! (Algorithm 3 dependency sets + Algorithm 4 loop walks over
-//! `Path` primitives) dominating once the gate went incremental. It
-//! times the default flat [`FlowScan`]-based scan against the legacy
-//! path-walking scan (`legacy_scan: true`) on the same fig10-scale
-//! instances, in the same process with interleaved reps — both arms
-//! share every other optimization and see the same clock/load drift,
-//! so `e2e_speedup` attributes to the scan alone. (At n=8 the small-n
-//! cutoff sends *both* arms down the legacy walks, so that ratio is a
-//! parity check, gated at ≥0.95 by `bench_check`.)
+//! Times the whole default `greedy_schedule` (flat candidate scan plus
+//! incremental exact gate) on fig10-scale single-flow instances at
+//! n ∈ {8, 64, 512, 2048}. Per size it emits:
 //!
-//! Per size it emits `flat_ns_per_op`, `legacy_ns_per_op`, their ratio
-//! `e2e_speedup`, the (asserted-identical) `makespan`, and the arena
-//! high-water mark. Writes `BENCH_simulate.json`; `bench_check` gates
-//! `e2e_speedup` floors at n ∈ {64, 512, 2048} and pins makespans.
+//! - `ns_per_op`: the fastest rep's wall clock — the minimum discards
+//!   scheduler preemptions and cache-eviction spikes;
+//! - `gate_ns_per_op`: the fastest rep's time inside the exact gate
+//!   (construction, mirroring and checks), measured by the gate;
+//! - `simulator_calls`: exact-gate checks spent (deterministic);
+//! - `cells_touched` vs `full_equivalent_cells`: ledger link-time cells
+//!   the incremental gate visited vs what re-simulating from scratch
+//!   at every check would have visited, and their ratio `cell_ratio`
+//!   (all deterministic);
+//! - `makespan` and the arena high-water mark `arena_bytes`.
 //!
-//! [`FlowScan`]: chronus_core::greedy::GreedyConfig::legacy_scan
+//! Writes `BENCH_simulate.json`; `bench_check` pins `makespan` and
+//! `simulator_calls`, floors `cell_ratio` and caps `ns_per_op` against
+//! the committed copy.
 
 #![forbid(unsafe_code)]
 
 use chronus_bench::fig10::scale_instance;
 use chronus_core::greedy::{greedy_schedule_in, GreedyConfig, GreedyOutcome};
-use chronus_core::ScheduleError;
 use chronus_net::UpdateInstance;
 use chronus_timenet::SimWorkspace;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-fn config(legacy_scan: bool) -> GreedyConfig {
-    // Certification off: both arms pay it identically, and this bench
-    // isolates planning cost.
-    GreedyConfig {
-        legacy_scan,
-        verify: chronus_verify::VerifyConfig::disabled(),
-        ..Default::default()
-    }
+/// Fastest wall clock and fastest gate time over the reps, plus the
+/// last rep's outcome.
+struct Timing {
+    ns: f64,
+    gate_ns: f64,
+    out: GreedyOutcome,
 }
 
-/// Times both arms with interleaved reps (flat, legacy, flat, legacy,
-/// …) so clock-frequency ramps and neighbour load hit the two arms
-/// equally — back-to-back arm blocks made the n=8 ratio drift ±20%
-/// even on identical code paths. Runs until an 800 ms shared budget or
-/// 2000 rep pairs, whichever first (always at least one pair), after
-/// one untimed warm-up pair that eats workspace arena growth and cold
-/// caches. Reports each arm's *fastest* rep: the minimum discards
-/// scheduler preemptions and cache-eviction spikes that land on one
-/// arm but not the other, which is what keeps the small-n parity
-/// ratio pinned near 1.0 instead of wandering ±5%.
-#[allow(clippy::type_complexity)]
-fn time_pair(
-    inst: &UpdateInstance,
-) -> (
-    (f64, Result<GreedyOutcome, ScheduleError>),
-    (f64, Result<GreedyOutcome, ScheduleError>),
-) {
-    let (cfg_flat, cfg_legacy) = (config(false), config(true));
-    let mut ws_flat = SimWorkspace::default();
-    let mut ws_legacy = SimWorkspace::default();
-    let mut last_flat = Some(greedy_schedule_in(inst, cfg_flat, &mut ws_flat));
-    let mut last_legacy = Some(greedy_schedule_in(inst, cfg_legacy, &mut ws_legacy));
+/// Repeats the default greedy (certification off: this bench measures
+/// planning) until an 800 ms budget or 2000 reps, whichever first, and
+/// always at least once, after one untimed warm-up rep that eats
+/// workspace arena growth and cold caches.
+fn time_greedy(inst: &UpdateInstance, n: usize) -> Timing {
+    let cfg = GreedyConfig {
+        verify: chronus_verify::VerifyConfig::disabled(),
+        ..Default::default()
+    };
+    let mut ws = SimWorkspace::default();
+    let run = |ws: &mut SimWorkspace| {
+        greedy_schedule_in(inst, cfg, ws)
+            .unwrap_or_else(|e| panic!("greedy failed on bench instance n={n}: {e}"))
+    };
+    run(&mut ws);
     let mut reps = 0u32;
     let mut total = Duration::ZERO;
-    let mut min_flat = Duration::MAX;
-    let mut min_legacy = Duration::MAX;
-    while reps == 0 || (total < Duration::from_millis(800) && reps < 2000) {
+    let mut min_ns = Duration::MAX;
+    let mut min_gate_ns = u64::MAX;
+    let out = loop {
         let t0 = Instant::now();
-        let out = greedy_schedule_in(inst, cfg_flat, &mut ws_flat);
+        let out = run(&mut ws);
         let dt = t0.elapsed();
         total += dt;
-        min_flat = min_flat.min(dt);
-        last_flat = Some(out);
-        let t0 = Instant::now();
-        let out = greedy_schedule_in(inst, cfg_legacy, &mut ws_legacy);
-        let dt = t0.elapsed();
-        total += dt;
-        min_legacy = min_legacy.min(dt);
-        last_legacy = Some(out);
+        min_ns = min_ns.min(dt);
+        min_gate_ns = min_gate_ns.min(out.gate_nanos);
         reps += 1;
+        if total >= Duration::from_millis(800) || reps >= 2000 {
+            break out;
+        }
+    };
+    Timing {
+        ns: min_ns.as_nanos() as f64,
+        gate_ns: min_gate_ns as f64,
+        out,
     }
-    (
-        (
-            min_flat.as_nanos() as f64,
-            last_flat.expect("at least one rep"),
-        ),
-        (
-            min_legacy.as_nanos() as f64,
-            last_legacy.expect("at least one rep"),
-        ),
-    )
 }
 
 fn main() {
     let sizes: &[usize] = &[8, 64, 512, 2048];
     let mut rows = String::new();
-    let mut summaries = String::new();
 
     // Process-level warm-up: the first hundred ms of a fresh process
     // run at ramping clock speed with cold caches, which lands
-    // entirely on the first (smallest) arm and skews its ratio. Burn
-    // that in on a throwaway instance before anything is timed.
+    // entirely on the first (smallest) size. Burn that in on a
+    // throwaway instance before anything is timed.
     if let Some(inst) = (0..8).find_map(|s| scale_instance(64, 20170605 + 977 + s)) {
         let t0 = Instant::now();
         while t0.elapsed() < Duration::from_millis(300) {
-            let _ = time_pair(&inst);
+            let _ = time_greedy(&inst, 64);
         }
     }
 
     for &n in sizes {
-        // Same seeds as bench_incremental so makespans line up across
-        // the two JSON files.
+        // A handful of seeds: the random-walk generator occasionally
+        // fails to produce a route at small n.
         let inst = (0..8)
             .find_map(|s| scale_instance(n, 20170605 + 977 + s))
             .unwrap_or_else(|| panic!("no fig10-scale instance at n={n}"));
-
-        let mut per_arm = Vec::new();
-        let mut makespans = Vec::new();
-        let mut arena_bytes = 0u64;
-        let (flat_arm, legacy_arm) = time_pair(&inst);
-        for (name, legacy, (ns, out)) in [("flat", false, flat_arm), ("legacy", true, legacy_arm)] {
-            match &out {
-                Ok(o) => {
-                    makespans.push(o.makespan);
-                    if !legacy {
-                        arena_bytes = o.arena_bytes;
-                    }
-                }
-                Err(e) => panic!("greedy failed on bench instance n={n}: {e}"),
-            }
-            println!("greedy_scan/{name}/{n}: {ns:.0} ns/op");
-            per_arm.push(ns);
-        }
-        assert_eq!(
-            makespans[0], makespans[1],
-            "flat and legacy scans must schedule identically at n={n}"
-        );
-        let makespan = makespans[0];
-        let (flat, legacy) = (per_arm[0], per_arm[1]);
-        let speedup = legacy / flat;
+        let Timing { ns, gate_ns, out } = time_greedy(&inst, n);
+        let calls = out.simulator_calls;
+        let cells = out.gate.cells_touched;
+        let full_cells = out.gate.full_equivalent_cells;
+        let cell_ratio = full_cells as f64 / cells.max(1) as f64;
+        let (makespan, arena_bytes) = (out.makespan, out.arena_bytes);
         println!(
-            "  -> n={n}: end-to-end speedup {speedup:.1}x, makespan {makespan}, \
-             arena ~{arena_bytes} B"
+            "greedy/{n}: {ns:.0} ns/op ({gate_ns:.0} ns in gate), {calls} simulator calls, \
+             {cells} cells touched vs {full_cells} full-equivalent ({cell_ratio:.2}x), \
+             makespan {makespan}, arena ~{arena_bytes} B"
         );
         let _ = write!(
             rows,
-            "{}\n  \"greedy_scan/{n}\": {{\"flat_ns_per_op\": {flat:.1}, \
-             \"legacy_ns_per_op\": {legacy:.1}, \"arena_bytes\": {arena_bytes}}}",
+            "{}\n  \"greedy/{n}\": {{\"ns_per_op\": {ns:.1}, \"gate_ns_per_op\": {gate_ns:.1}, \
+             \"simulator_calls\": {calls}, \"cells_touched\": {cells}, \
+             \"full_equivalent_cells\": {full_cells}, \"cell_ratio\": {cell_ratio:.2}, \
+             \"makespan\": {makespan}, \"arena_bytes\": {arena_bytes}}}",
             if rows.is_empty() { "" } else { "," },
-        );
-        let _ = write!(
-            summaries,
-            ",\n  \"summary/{n}\": {{\"e2e_speedup\": {speedup:.2}, \
-             \"makespan\": {makespan}}}"
         );
     }
 
-    let json = format!("{{{rows}{summaries}\n}}\n");
+    let json = format!("{{{rows}\n}}\n");
     let path = "BENCH_simulate.json";
     std::fs::write(path, &json).expect("write BENCH_simulate.json");
     println!("(json: {path})");

@@ -1,12 +1,14 @@
 //! Flat candidate scan: dense per-flow twins of Algorithms 3 and 4.
 //!
-//! The legacy scan path re-derives everything per candidate from
+//! The Path-walk implementations in [`crate::deps`] and
+//! [`crate::loopcheck`] re-derive everything per candidate from
 //! [`chronus_net::Path`] primitives: `position` is a linear hop scan,
 //! `prefix_delay` a per-edge hash lookup walk, and both run inside
 //! [`crate::deps::last_old_arrival`], which itself runs once per
 //! pending switch per step — O(steps × pending × diverters × path)
-//! for the greedy loop overall, and profiling shows it dominating
-//! end-to-end wall clock once the exact gate went incremental.
+//! for the greedy loop overall. They stay as the readable reference
+//! and as this module's test oracle; the greedy loop runs only the
+//! flat tables.
 //!
 //! [`FlowScan`] flattens all of it. At construction (once per greedy
 //! run) every path-derived quantity becomes a dense array indexed by
@@ -27,15 +29,14 @@
 //! The snapshot is sound for the whole candidate-collection phase of
 //! one flow's turn because the greedy loop commits candidates only
 //! *after* collection: `dependency_set` and every
-//! `creates_forwarding_loop` pre-check read the same schedule state,
-//! exactly as the legacy path does.
+//! `creates_forwarding_loop` pre-check read the same schedule state.
 //!
 //! Edge discovery iterates pending switches in the same ascending
 //! order and pushes the same edges as [`crate::deps::dependency_set`],
 //! then reuses the identical [`crate::deps::build_set`] merge — so
 //! chains, heads and cycle witnesses are byte-identical, which the
-//! differential proptests in `tests/scan_props.rs` pin across random
-//! instances.
+//! replay proptest in this module's tests pins at every flow-turn of
+//! hundreds of greedy runs.
 // Dense tables indexed by ids this module mints from validated paths.
 #![allow(clippy::indexing_slicing, clippy::expect_used)]
 
@@ -65,12 +66,12 @@ pub(crate) struct FlowScan {
     pos_of: Vec<u32>,
     /// Switch id → the flow's new rule target.
     new_next: Vec<Option<SwitchId>>,
-    /// `σ(v, new_next(v))` with the legacy `unwrap_or(1)` fallback
+    /// `σ(v, new_next(v))` with the Path walk's `unwrap_or(1)` fallback
     /// (arrival-time computation in Algorithm 3).
     sigma_new: Vec<TimeStep>,
-    /// Same delay with the legacy `unwrap_or(0)` fallback (the
+    /// Same delay with the Path walk's `unwrap_or(0)` fallback (the
     /// self-cycle φ_new comparison). The two defaults differ in the
-    /// original code and must be replicated independently.
+    /// Path walks and must be replicated independently.
     phi_new0: Vec<TimeStep>,
     /// Switch id → "its old outgoing link exists and cannot hold old
     /// and new stream simultaneously" (`C < 2d`); folds the three
@@ -171,8 +172,7 @@ impl FlowScan {
 
     /// Snapshots the schedule-dependent state for one flow-turn of one
     /// greedy step. Valid until the first commit for this flow — i.e.
-    /// for the whole candidate-collection phase, matching the window
-    /// in which the legacy path reads the same schedule.
+    /// for the whole candidate-collection phase.
     pub fn begin_step(&mut self, schedule: &Schedule, pending: &BTreeSet<SwitchId>) {
         let n = self.old_hops.len();
         let mut run_min = TimeStep::MAX;
@@ -310,14 +310,18 @@ impl FlowScan {
 mod tests {
     use super::*;
     use crate::deps::dependency_set;
+    use crate::greedy::greedy_schedule;
     use crate::loopcheck::creates_forwarding_loop;
-    use chronus_net::{motivating_example, FlowId};
+    use crate::MutpProblem;
+    use chronus_net::{
+        motivating_example, reversal_instance, FlowId, InstanceGenerator, InstanceGeneratorConfig,
+    };
+    use proptest::prelude::*;
 
-    /// The flat scan must agree with the legacy path on the paper's
-    /// own example across steps and partial schedules (the broad
-    /// random-instance differential lives in `tests/scan_props.rs`).
+    /// The flat scan must agree with the Path walks on the paper's
+    /// own example across steps and partial schedules.
     #[test]
-    fn flat_scan_matches_legacy_on_motivating_example() {
+    fn flat_scan_matches_path_walks_on_motivating_example() {
         let inst = motivating_example();
         let flow = inst.flow().clone();
         let mut scan = FlowScan::build(&inst, &flow);
@@ -331,11 +335,11 @@ mod tests {
                 pending.remove(&v);
             }
             scan.begin_step(&schedule, &pending);
-            let legacy = dependency_set(&inst, &flow, &schedule, &pending, at);
+            let walk = dependency_set(&inst, &flow, &schedule, &pending, at);
             let flat = scan.dependency_set(&pending, at);
-            assert_eq!(legacy.edges, flat.edges, "edges diverged at t={at}");
-            assert_eq!(legacy.chains, flat.chains, "chains diverged at t={at}");
-            assert_eq!(legacy.cycle, flat.cycle, "cycle diverged at t={at}");
+            assert_eq!(walk.edges, flat.edges, "edges diverged at t={at}");
+            assert_eq!(walk.chains, flat.chains, "chains diverged at t={at}");
+            assert_eq!(walk.cycle, flat.cycle, "cycle diverged at t={at}");
             for &v in &pending {
                 for t in at..at + 4 {
                     assert_eq!(
@@ -344,6 +348,91 @@ mod tests {
                         "loop check diverged for {v:?} at t={t}"
                     );
                 }
+            }
+        }
+    }
+
+    /// Replays a default greedy run's round trace and, at every
+    /// flow-turn, checks the flat scan against the Path-walk oracles
+    /// on exactly the `(schedule, pending, t)` state the greedy loop
+    /// saw: same edges, chains, heads and cycle witness, and the same
+    /// loop verdict for every pending switch. The replay's chains must
+    /// also reproduce the recorded trace, and its final schedule the
+    /// emitted one, so the oracle provably saw the loop's real states.
+    fn replay_against_path_walks(inst: &UpdateInstance) {
+        let Ok(out) = greedy_schedule(inst) else {
+            return;
+        };
+        let problem = MutpProblem::new(inst).expect("greedy accepted the instance");
+        let mut pending: Vec<BTreeSet<SwitchId>> = (0..inst.flows.len())
+            .map(|fi| problem.pending(fi).clone())
+            .collect();
+        let mut schedule = Schedule::new();
+        for (fi, flow) in inst.flows.iter().enumerate() {
+            for v in problem.fresh_switches(fi) {
+                schedule.set(flow.id, v, 0);
+                pending[fi].remove(&v);
+            }
+        }
+        let mut scans: Vec<FlowScan> = inst
+            .flows
+            .iter()
+            .map(|f| FlowScan::build(inst, f))
+            .collect();
+
+        for round in &out.rounds {
+            let t = round.time;
+            let mut chains = Vec::new();
+            for (fi, flow) in inst.flows.iter().enumerate() {
+                if pending[fi].is_empty() {
+                    continue;
+                }
+                let scan = &mut scans[fi];
+                scan.begin_step(&schedule, &pending[fi]);
+                let flat = scan.dependency_set(&pending[fi], t);
+                let walk = dependency_set(inst, flow, &schedule, &pending[fi], t);
+                assert_eq!(flat.edges, walk.edges, "edges diverged at t={t}");
+                assert_eq!(flat.chains, walk.chains, "chains diverged at t={t}");
+                assert_eq!(flat.heads(), walk.heads(), "heads diverged at t={t}");
+                assert_eq!(flat.cycle, walk.cycle, "cycle diverged at t={t}");
+                for &v in &pending[fi] {
+                    assert_eq!(
+                        scan.creates_loop(v, t),
+                        creates_forwarding_loop(inst, flow, &schedule, v, t),
+                        "loop check diverged for {v:?} at t={t}"
+                    );
+                }
+                chains.extend(flat.chains);
+                for &(f, v) in round.committed.iter().filter(|(f, _)| *f == flow.id) {
+                    schedule.set(f, v, t);
+                    pending[fi].remove(&v);
+                }
+            }
+            assert_eq!(chains, round.chains, "replay left the trace at t={t}");
+        }
+        assert_eq!(schedule, out.schedule, "replay must rebuild the schedule");
+    }
+
+    #[test]
+    fn fixed_instances_replay_against_path_walks() {
+        replay_against_path_walks(&motivating_example());
+        for n in 4..9 {
+            replay_against_path_walks(&reversal_instance(n, 2, 1));
+            replay_against_path_walks(&reversal_instance(n, 1, 1));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(500))]
+
+        #[test]
+        fn random_instances_replay_against_path_walks(
+            switches in 6usize..28,
+            seed in 0u64..100_000,
+        ) {
+            let cfg = InstanceGeneratorConfig::paper(switches, seed);
+            if let Some(inst) = InstanceGenerator::new(cfg).generate() {
+                replay_against_path_walks(&inst);
             }
         }
     }

@@ -34,9 +34,11 @@ use chronus_core::shard::{shard_schedule_in, ShardingConfig};
 use chronus_core::tree::{check_feasibility, Feasibility};
 use chronus_net::{TimeStep, UpdateInstance};
 use chronus_timenet::{Schedule, SimWorkspace};
+use chronus_trace::EnteredSpan;
 use chronus_verify::{
     certify_two_phase, certify_with_slack, Certificate, SlackCertificate, SlackConfig, VerifyConfig,
 };
+use std::convert::Infallible;
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -325,7 +327,15 @@ pub fn plan_with_chain_in(
     metrics: &EngineMetrics,
     ws: &mut SimWorkspace,
 ) -> PlannedUpdate {
-    plan_chain_impl(req, cache, metrics, ws, &VerifyConfig::default(), None, None)
+    plan_chain_impl(
+        req,
+        cache,
+        metrics,
+        ws,
+        &VerifyConfig::default(),
+        None,
+        None,
+    )
 }
 
 /// The static span name for one stage's attempt.
@@ -369,6 +379,116 @@ fn buy_slack(
     best
 }
 
+/// A stage's winning plan and its consistency certificate.
+type StageWin = (PlanKind, Option<Certificate>);
+
+/// One request's walk down the chain: the attempt list in chain order,
+/// the winner so far, and whether the deadline cut an optimizing stage.
+struct ChainRun<'a> {
+    metrics: &'a EngineMetrics,
+    started: Instant,
+    deadline: Duration,
+    attempts: Vec<StageAttempt>,
+    winner: Option<(Stage, PlanKind, Option<Certificate>)>,
+    deadline_exceeded: bool,
+}
+
+impl ChainRun<'_> {
+    /// Records `stage` as skipped, without running it or touching the
+    /// stage metrics.
+    fn skip(&mut self, stage: Stage, reason: &str) {
+        self.attempts.push(StageAttempt {
+            stage,
+            outcome: StageOutcome::Skipped(reason.into()),
+            elapsed: Duration::ZERO,
+        });
+    }
+
+    /// Runs an optimizing stage unless an earlier stage already won or
+    /// the request's deadline has passed; a win becomes the chain's
+    /// winner.
+    fn optimize(
+        &mut self,
+        stage: Stage,
+        body: impl FnOnce(&mut EnteredSpan) -> Result<StageWin, String>,
+    ) {
+        if self.winner.is_some() {
+            self.skip(stage, "earlier stage won");
+        } else if self.started.elapsed() >= self.deadline {
+            self.deadline_exceeded = true;
+            self.metrics.record_skip(stage);
+            self.skip(stage, "deadline exhausted");
+        } else if let Ok((plan, certificate)) = self.run_stage(stage, body) {
+            self.winner = Some((stage, plan, certificate));
+        }
+    }
+
+    /// Runs one stage inside its trace span and records how it ended:
+    /// the span's `outcome` field, the stage metrics, and the attempt.
+    fn run_stage<T, E: fmt::Display>(
+        &mut self,
+        stage: Stage,
+        body: impl FnOnce(&mut EnteredSpan) -> Result<T, E>,
+    ) -> Result<T, E> {
+        let stage_start = Instant::now();
+        let mut span = chronus_trace::span!(stage_span_name(stage)).entered();
+        let result = body(&mut span);
+        let elapsed = stage_start.elapsed();
+        let outcome = match &result {
+            Ok(_) => StageOutcome::Won,
+            Err(e) => StageOutcome::Failed(e.to_string()),
+        };
+        if span.is_recording() {
+            span.record("outcome", if result.is_ok() { "won" } else { "failed" });
+        }
+        drop(span);
+        self.metrics.record_attempt(stage, &outcome, elapsed);
+        self.attempts.push(StageAttempt {
+            stage,
+            outcome,
+            elapsed,
+        });
+        result
+    }
+}
+
+/// The two-phase plan for `req`, with the certifier's verdict on its
+/// flip window when certification is enabled.
+fn two_phase_fallback(req: &UpdateRequest, verify: &VerifyConfig) -> StageWin {
+    let instance = &req.instance;
+    let flip_time = tp_flip_time(instance);
+    let tp = TpBatchPlan {
+        plan: tp_plan(&instance.flows[0]),
+        flip_time,
+    };
+    // The two-phase fallback is consistency-preserving by
+    // construction, but the certifier can still refuse to vouch for a
+    // flip window that transiently congests a shared link; that
+    // legitimate `None` is what `certs.failed` counts — the refusal
+    // itself is preserved on the trace via the violation's `Display`
+    // rendering.
+    let certificate = if verify.enabled {
+        match certify_two_phase(instance, flip_time) {
+            Ok(cert) => Some(cert),
+            Err(violation) => {
+                chronus_trace::instant!(
+                    "engine.cert_refused",
+                    request = req.id.0,
+                    violation = violation.to_string()
+                );
+                // A refused certificate is a planner/certifier
+                // disagreement worth a forensic dump (rate limited and
+                // inert unless the recorder is on).
+                chronus_trace::FlightRecorder::trigger("cert-refused");
+                None
+            }
+        }
+    } else {
+        None
+    };
+    (PlanKind::TwoPhase(tp), certificate)
+}
+
 fn plan_chain_impl(
     req: &UpdateRequest,
     cache: &TimeNetCache,
@@ -392,9 +512,14 @@ fn plan_chain_impl(
     let key = CacheKey::for_instance(instance, planning_horizon(instance));
     let (timenet, cache_hit) = cache.get_or_materialize(key, instance);
 
-    let mut attempts = Vec::with_capacity(Stage::CHAIN.len());
-    let mut winner: Option<(Stage, PlanKind, Option<Certificate>)> = None;
-    let mut deadline_exceeded = false;
+    let mut chain = ChainRun {
+        metrics,
+        started,
+        deadline: req.deadline,
+        attempts: Vec::with_capacity(Stage::CHAIN.len()),
+        winner: None,
+        deadline_exceeded: false,
+    };
 
     // The opt-in sharded pre-stage: multi-flow requests are split by
     // topology partition and planned shard-by-shard over a shared-link
@@ -402,197 +527,72 @@ fn plan_chain_impl(
     // sharding is configured, so unsharded engines keep the familiar
     // three-stage attempt list.
     if let Some(shard_cfg) = sharding {
-        let stage = Stage::Sharded;
         if instance.flows.len() < 2 {
-            attempts.push(StageAttempt {
-                stage,
-                outcome: StageOutcome::Skipped("single-flow request".into()),
-                elapsed: Duration::ZERO,
-            });
-        } else if started.elapsed() >= req.deadline {
-            deadline_exceeded = true;
-            metrics.record_skip(stage);
-            attempts.push(StageAttempt {
-                stage,
-                outcome: StageOutcome::Skipped("deadline exhausted".into()),
-                elapsed: Duration::ZERO,
-            });
+            chain.skip(Stage::Sharded, "single-flow request");
         } else {
-            let stage_start = Instant::now();
-            let mut stage_span = chronus_trace::span!(stage_span_name(stage)).entered();
-            let mut cfg = *shard_cfg;
-            cfg.greedy.verify = *verify;
-            let outcome = match shard_schedule_in(instance, cfg, ws) {
-                Ok(out) => {
-                    metrics.record_shard(&out.stats);
-                    if stage_span.is_recording() {
-                        stage_span.record("shards", out.stats.shards as u64);
-                        stage_span.record("fell_back_joint", out.stats.fell_back_joint);
-                    }
-                    winner = Some((stage, PlanKind::Timed(out.schedule), out.certificate));
-                    StageOutcome::Won
+            chain.optimize(Stage::Sharded, |span| {
+                let mut cfg = *shard_cfg;
+                cfg.greedy.verify = *verify;
+                let out = shard_schedule_in(instance, cfg, ws).map_err(|e| e.to_string())?;
+                metrics.record_shard(&out.stats);
+                if span.is_recording() {
+                    span.record("shards", out.stats.shards as u64);
+                    span.record("fell_back_joint", out.stats.fell_back_joint);
                 }
-                Err(e) => StageOutcome::Failed(e.to_string()),
-            };
-            let elapsed = stage_start.elapsed();
-            if stage_span.is_recording() {
-                stage_span.record(
-                    "outcome",
-                    match &outcome {
-                        StageOutcome::Won => "won",
-                        StageOutcome::Failed(_) => "failed",
-                        StageOutcome::Skipped(_) => "skipped",
-                    },
-                );
-            }
-            drop(stage_span);
-            metrics.record_attempt(stage, &outcome, elapsed);
-            attempts.push(StageAttempt {
-                stage,
-                outcome,
-                elapsed,
+                Ok((PlanKind::Timed(out.schedule), out.certificate))
             });
         }
     }
 
-    for stage in [Stage::Greedy, Stage::Tree] {
-        if winner.is_some() {
-            attempts.push(StageAttempt {
-                stage,
-                outcome: StageOutcome::Skipped("earlier stage won".into()),
-                elapsed: Duration::ZERO,
-            });
-            continue;
-        }
-        if started.elapsed() >= req.deadline {
-            deadline_exceeded = true;
-            metrics.record_skip(stage);
-            attempts.push(StageAttempt {
-                stage,
-                outcome: StageOutcome::Skipped("deadline exhausted".into()),
-                elapsed: Duration::ZERO,
-            });
-            continue;
-        }
-        let stage_start = Instant::now();
-        let mut stage_span = chronus_trace::span!(stage_span_name(stage)).entered();
-        let outcome = match stage {
-            Stage::Greedy => {
-                let cfg = GreedyConfig {
-                    verify: *verify,
-                    ..GreedyConfig::default()
-                };
-                match greedy_schedule_in(instance, cfg, ws) {
-                    Ok(out) => {
-                        metrics.record_gate(&out.gate);
-                        metrics.record_greedy_resources(out.arena_bytes, out.parallel_candidates);
-                        winner = Some((stage, PlanKind::Timed(out.schedule), out.certificate));
-                        StageOutcome::Won
-                    }
-                    Err(e) => StageOutcome::Failed(e.to_string()),
-                }
-            }
-            Stage::Tree => match check_feasibility(instance) {
-                Feasibility::Feasible {
-                    schedule,
-                    certificate,
-                } => {
-                    let cert = verify.enabled.then_some(*certificate);
-                    winner = Some((stage, PlanKind::Timed(schedule), cert));
-                    StageOutcome::Won
-                }
-                Feasibility::Infeasible { witness } => StageOutcome::Failed(match witness {
-                    Some(w) => format!("infeasible: {w:?}"),
-                    None => "infeasible".into(),
-                }),
-                Feasibility::Unknown => StageOutcome::Failed("search budget exhausted".into()),
-            },
-            Stage::Sharded | Stage::TwoPhase => {
-                unreachable!("sharded handled above, two-phase below")
-            }
+    chain.optimize(Stage::Greedy, |_| {
+        let cfg = GreedyConfig {
+            verify: *verify,
+            ..GreedyConfig::default()
         };
-        let elapsed = stage_start.elapsed();
-        if stage_span.is_recording() {
-            stage_span.record(
-                "outcome",
-                match &outcome {
-                    StageOutcome::Won => "won",
-                    StageOutcome::Failed(_) => "failed",
-                    StageOutcome::Skipped(_) => "skipped",
-                },
-            );
-        }
-        drop(stage_span);
-        metrics.record_attempt(stage, &outcome, elapsed);
-        attempts.push(StageAttempt {
-            stage,
-            outcome,
-            elapsed,
-        });
-    }
+        let out = greedy_schedule_in(instance, cfg, ws).map_err(|e| e.to_string())?;
+        metrics.record_gate(&out.gate);
+        metrics.record_greedy_arena(out.arena_bytes);
+        Ok((PlanKind::Timed(out.schedule), out.certificate))
+    });
+
+    chain.optimize(Stage::Tree, |_| match check_feasibility(instance) {
+        Feasibility::Feasible {
+            schedule,
+            certificate,
+        } => Ok((
+            PlanKind::Timed(schedule),
+            verify.enabled.then_some(*certificate),
+        )),
+        Feasibility::Infeasible { witness } => Err(match witness {
+            Some(w) => format!("infeasible: {w:?}"),
+            None => "infeasible".into(),
+        }),
+        Feasibility::Unknown => Err("search budget exhausted".into()),
+    });
 
     // The consistency-preserving last resort: two-phase always plans,
     // deadline or not — it is the reason a request cannot fail.
-    let (winner_stage, plan, certificate) = match winner {
+    let (winner_stage, mut plan, mut certificate) = match chain.winner.take() {
         Some(found) => {
-            attempts.push(StageAttempt {
-                stage: Stage::TwoPhase,
-                outcome: StageOutcome::Skipped("earlier stage won".into()),
-                elapsed: Duration::ZERO,
-            });
+            chain.skip(Stage::TwoPhase, "earlier stage won");
             found
         }
         None => {
-            let stage_start = Instant::now();
-            let mut stage_span = chronus_trace::span!(stage_span_name(Stage::TwoPhase)).entered();
-            let flip_time = tp_flip_time(instance);
-            let tp = TpBatchPlan {
-                plan: tp_plan(&instance.flows[0]),
-                flip_time,
-            };
-            // The two-phase fallback is consistency-preserving by
-            // construction, but the certifier can still refuse to vouch
-            // for a flip window that transiently congests a shared
-            // link; that legitimate `None` is what `certs.failed`
-            // counts — the refusal itself is preserved on the trace
-            // via the violation's `Display` rendering.
-            let certificate = if verify.enabled {
-                match certify_two_phase(instance, flip_time) {
-                    Ok(cert) => Some(cert),
-                    Err(violation) => {
-                        chronus_trace::instant!(
-                            "engine.cert_refused",
-                            request = req.id.0,
-                            violation = violation.to_string()
-                        );
-                        // A refused certificate is a planner/certifier
-                        // disagreement worth a forensic dump (rate
-                        // limited and inert unless the recorder is on).
-                        chronus_trace::FlightRecorder::trigger("cert-refused");
-                        None
-                    }
-                }
-            } else {
-                None
-            };
-            stage_span.record("outcome", "won");
-            drop(stage_span);
-            let elapsed = stage_start.elapsed();
-            metrics.record_attempt(Stage::TwoPhase, &StageOutcome::Won, elapsed);
-            attempts.push(StageAttempt {
-                stage: Stage::TwoPhase,
-                outcome: StageOutcome::Won,
-                elapsed,
+            let Ok((plan, certificate)) = chain.run_stage(Stage::TwoPhase, |_| {
+                Ok::<_, Infallible>(two_phase_fallback(req, verify))
             });
-            (Stage::TwoPhase, PlanKind::TwoPhase(tp), certificate)
+            (Stage::TwoPhase, plan, certificate)
         }
     };
+    let ChainRun {
+        attempts,
+        deadline_exceeded,
+        ..
+    } = chain;
 
     // The slack stage: timed winners get a certified timing tolerance,
     // dilated as allowed until the policy target is met. Two-phase
     // plans have no timed schedule to perturb and skip the stage.
-    let mut plan = plan;
-    let mut certificate = certificate;
     let mut slack = None;
     let mut dilation = 1;
     if let (Some(policy), PlanKind::Timed(schedule)) = (slack_policy, &plan) {

@@ -67,7 +67,7 @@ pub use link::Link;
 pub use network::{Network, NetworkBuilder};
 pub use partition::{
     network_with_capacities, partition_network, split_instance, Partition, PartitionMethod,
-    SharedLink, ShardedInstance,
+    ShardedInstance, SharedLink,
 };
 pub use path::Path;
 

@@ -422,28 +422,16 @@ impl SimWorkspace {
     }
 }
 
-/// Which exact-simulation backend a gate ran its checks on.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum GateBackendKind {
-    /// O(Δ) [`IncrementalSimulator`] apply/undo.
-    #[default]
-    Incremental,
-    /// Full re-simulation per check (ablation flag, or the automatic
-    /// small-instance cutoff where incremental bookkeeping costs more
-    /// than it saves).
-    Full,
-}
-
 /// Counters describing how an exact gate spent its checks; surfaced
 /// through `GreedyOutcome` and the engine's `PlanReport`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GateStats {
-    /// Backend the gate ran on (most recent gate wins under
-    /// [`GateStats::absorb`] aggregation).
-    pub backend: GateBackendKind,
     /// Gate checks answered incrementally (O(Δ)).
     pub incremental_checks: u64,
-    /// Gate checks answered by a full simulator run.
+    /// Gate checks answered by a full simulator run. Every runtime gate
+    /// is incremental, so this reads 0; it stays so that
+    /// `incremental_checks + full_checks` keeps meaning "all checks"
+    /// for consumers that sum them.
     pub full_checks: u64,
     /// `apply` calls executed on the ledger.
     pub ledger_applies: u64,
@@ -459,9 +447,6 @@ pub struct GateStats {
 impl GateStats {
     /// Accumulates `other` into `self` (engine-side aggregation).
     pub fn absorb(&mut self, other: &GateStats) {
-        if other.incremental_checks + other.full_checks > 0 {
-            self.backend = other.backend;
-        }
         self.incremental_checks += other.incremental_checks;
         self.full_checks += other.full_checks;
         self.ledger_applies += other.ledger_applies;

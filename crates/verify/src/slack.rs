@@ -154,8 +154,15 @@ pub fn slack_certificate(
             .iter()
             .map(|&(_, _, t)| ((-(k - 1)).max(-t)..=k).collect())
             .collect();
-        let cube: usize = menus.iter().map(Vec::len).product();
-        if checked + cube > config.budget {
+        // The hypercube has `2^entries` corners or more, so the product
+        // overflows `usize` at 64 entries: an overflowing cube is simply
+        // over budget.
+        let within_budget = menus
+            .iter()
+            .try_fold(1usize, |cube, menu| cube.checked_mul(menu.len()))
+            .and_then(|cube| checked.checked_add(cube))
+            .is_some_and(|total| total <= config.budget);
+        if !within_budget {
             budget_exhausted = true;
             break;
         }
@@ -398,6 +405,29 @@ mod tests {
         let cert = slack_certificate(&inst, &staged(), &cfg).expect("nominal certifies");
         assert_eq!(cert.slack_steps, 0);
         assert!(cert.budget_exhausted);
+    }
+
+    #[test]
+    fn hypercube_past_usize_is_budget_exhausted() {
+        // A reversal migration over a 70-switch line has 69 schedule
+        // entries, so even the k = 1 hypercube (2^69 corners) overflows
+        // `usize`. The search must report the budget as exhausted
+        // instead of wrapping the corner count and walking the cube.
+        let n = 70u32;
+        let inst = chronus_net::reversal_instance(n as usize, 2, 1);
+        // Exit shortcut first, then each reversed hop once everything
+        // downstream of it is new, and the entry shortcut last.
+        let mut pairs: Vec<(SwitchId, TimeStep)> = (1..n - 1)
+            .map(|i| (sid(i), TimeStep::from(i) - 1))
+            .collect();
+        pairs.push((sid(0), TimeStep::from(n) - 2));
+        let s = Schedule::from_pairs(FlowId(0), pairs);
+        assert!(s.len() >= 64);
+        let cfg = SlackConfig::default();
+        let cert = slack_certificate(&inst, &s, &cfg).expect("nominal certifies");
+        assert!(cert.budget_exhausted, "{cert}");
+        assert_eq!(cert.slack_steps, 0);
+        assert!(cert.schedules_checked <= cfg.budget);
     }
 
     #[test]
