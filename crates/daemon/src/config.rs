@@ -43,8 +43,6 @@ pub struct DaemonConfig {
     /// Epoch anchor for the daemon's monotonic clock; `None` anchors
     /// to the wall clock at startup. Tests pin this for determinism.
     pub base_epoch_ns: Option<Nanos>,
-    /// Bound on the engine's memoized time-extended-network cache.
-    pub cache_windows: usize,
     /// Target shard count for the engine's sharded multi-flow
     /// pre-stage; `0` or `1` disables sharding and every request is
     /// planned jointly.
@@ -80,7 +78,6 @@ impl Default for DaemonConfig {
             step_ns: 1_000_000, // 1 ms per schedule step
             rearm_margin_ns: 100_000,
             base_epoch_ns: None,
-            cache_windows: 256,
             engine_shards: 0,
             default_deadline_ms: 5_000,
             slo_latency_ms: 250,
@@ -157,7 +154,6 @@ impl DaemonConfig {
             "base_epoch_ns" => {
                 self.base_epoch_ns = Some(value.parse().map_err(|_| bad("nanoseconds"))?)
             }
-            "cache_windows" => self.cache_windows = value.parse().map_err(|_| bad("a count"))?,
             "engine_shards" => self.engine_shards = value.parse().map_err(|_| bad("a count"))?,
             "default_deadline_ms" => {
                 self.default_deadline_ms = value.parse().map_err(|_| bad("milliseconds"))?
@@ -223,11 +219,10 @@ impl DaemonConfig {
 
     /// The engine configuration the daemon boots its resident engine
     /// with: slack certification on (the journal stores the certified
-    /// tolerance) and a bounded warm cache.
+    /// tolerance).
     pub fn engine(&self) -> EngineConfig {
-        let cfg = EngineConfig::with_workers(self.workers.max(1))
-            .with_slack(SlackPolicy::default())
-            .with_cache_capacity(self.cache_windows.max(1));
+        let cfg =
+            EngineConfig::with_workers(self.workers.max(1)).with_slack(SlackPolicy::default());
         if self.engine_shards > 1 {
             cfg.with_sharding(chronus_engine::ShardingConfig {
                 shards: self.engine_shards,
@@ -302,9 +297,14 @@ mod tests {
 
     #[test]
     fn unknown_file_keys_are_rejected() {
-        let v = serde_json::from_str(r#"{"wrokers": 4}"#).unwrap();
-        assert!(DaemonConfig::from_value(&v)
-            .unwrap_err()
-            .contains("wrokers"));
+        // A typo, and a key whose knob was removed (the engine keeps
+        // no window cache to size).
+        for key in ["wrokers", "cache_windows"] {
+            let v = serde_json::from_str(&format!(r#"{{"{key}": 4}}"#)).unwrap();
+            assert_eq!(
+                DaemonConfig::from_value(&v).unwrap_err(),
+                format!("unknown config key `{key}`")
+            );
+        }
     }
 }

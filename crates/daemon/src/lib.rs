@@ -13,10 +13,9 @@
 //!   per-tenant token-bucket rate limiting and bounded queues with
 //!   explicit shed responses, all counted in a `chronus_daemon_*`
 //!   scoped metrics registry.
-//! - **Warm state** ([`service`]): one resident [`chronus_engine::Engine`]
-//!   serves every request, so the memoized time-extended-network
-//!   cache stays hot across submissions, with hit/miss/eviction
-//!   gauges on the scrape.
+//! - **Resident engine** ([`service`]): one [`chronus_engine::Engine`]
+//!   worker pool serves every request for the daemon's whole life; its
+//!   `chronus_engine_*` series share the daemon's scrape.
 //! - **Write-ahead journal** ([`journal`]): every certified, armed
 //!   schedule is appended (schedule + certificate + slack + arm
 //!   epoch) before the daemon acknowledges it. On restart the journal

@@ -3,18 +3,11 @@
 //! engine's `chronus_engine_*` series on one endpoint.
 
 use chronus_trace::{Counter, Gauge, Histogram, MetricsRegistry};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// All daemon instruments, registered once at startup on a scoped
 /// [`MetricsRegistry`] (handles are lock-free on the hot path).
 pub struct DaemonMetrics {
     registry: MetricsRegistry,
-    /// Seqlock epoch over the five cache gauges: odd while
-    /// [`DaemonMetrics::set_cache`] is mid-write, even when the set is
-    /// coherent. Scrapes render under an even-epoch check so hit,
-    /// miss and eviction totals always come from one `set_cache` call
-    /// — never a torn mix of two refreshes.
-    cache_epoch: AtomicU64,
     /// Submissions received over IPC (before admission).
     pub submitted: Counter,
     /// Submissions accepted into an admission queue.
@@ -43,7 +36,8 @@ pub struct DaemonMetrics {
     pub journal_corrupt_lines: Counter,
     /// Arm records appended to the journal.
     pub journal_arm_records: Counter,
-    /// Journal compactions (periodic, explicit and final).
+    /// Journal rewrites by compaction (periodic, explicit and final);
+    /// a compaction of an unchanged journal rewrites nothing.
     pub snapshots: Counter,
     /// IPC connections accepted.
     pub connections: Counter,
@@ -61,16 +55,6 @@ pub struct DaemonMetrics {
     pub queue_peak: Gauge,
     /// Armed records currently live in the journal.
     pub journal_live: Gauge,
-    /// Warm-cache hits, copied from the engine at scrape time.
-    pub cache_hits: Gauge,
-    /// Warm-cache misses (materializations), copied at scrape time.
-    pub cache_misses: Gauge,
-    /// Warm-cache evictions under the capacity bound.
-    pub cache_evictions: Gauge,
-    /// Windows currently resident in the warm cache.
-    pub cache_entries: Gauge,
-    /// Approximate bytes held by the warm cache.
-    pub cache_bytes: Gauge,
     /// Nanoseconds jobs spent queued before a worker picked them up.
     pub queue_wait_ns: Histogram,
     /// Nanoseconds workers spent planning one job.
@@ -129,11 +113,6 @@ impl DaemonMetrics {
             queue_depth_low: g("chronus_daemon_queue_depth_low"),
             queue_peak: g("chronus_daemon_queue_peak"),
             journal_live: g("chronus_daemon_journal_live"),
-            cache_hits: g("chronus_daemon_cache_hits"),
-            cache_misses: g("chronus_daemon_cache_misses"),
-            cache_evictions: g("chronus_daemon_cache_evictions"),
-            cache_entries: g("chronus_daemon_cache_entries"),
-            cache_bytes: g("chronus_daemon_cache_bytes"),
             queue_wait_ns: h("chronus_daemon_queue_wait_ns"),
             plan_ns: h("chronus_daemon_plan_ns"),
             submit_to_settle_ns: h("chronus_daemon_submit_to_settle_ns"),
@@ -144,7 +123,6 @@ impl DaemonMetrics {
             slo_latency_ns: h("chronus_daemon_slo_latency_ns"),
             slo_bad: c("chronus_daemon_slo_bad_total"),
             slo_good: c("chronus_daemon_slo_good_total"),
-            cache_epoch: AtomicU64::new(0),
             registry,
         }
     }
@@ -178,40 +156,6 @@ impl DaemonMetrics {
         self.queue_depth_normal.set(normal as i64);
         self.queue_depth_low.set(low as i64);
         self.queue_peak.max((high + normal + low) as i64);
-    }
-
-    /// Copies the engine's warm-cache counters onto the daemon gauges
-    /// (called right before a scrape is rendered). The write sits
-    /// between two epoch increments (odd while in flight) so
-    /// [`DaemonMetrics::render_consistent`] can detect and retry a
-    /// scrape that raced the copy.
-    pub fn set_cache(&self, hits: u64, misses: u64, evictions: u64, entries: u64, bytes: u64) {
-        self.cache_epoch.fetch_add(1, Ordering::Release);
-        self.cache_hits.set(hits as i64);
-        self.cache_misses.set(misses as i64);
-        self.cache_evictions.set(evictions as i64);
-        self.cache_entries.set(entries as i64);
-        self.cache_bytes.set(bytes as i64);
-        self.cache_epoch.fetch_add(1, Ordering::Release);
-    }
-
-    /// Renders the Prometheus text for this registry under the cache
-    /// seqlock: the render is retried until it lands entirely inside
-    /// one even epoch, so the five `chronus_daemon_cache_*` gauges in
-    /// the output always come from a single [`DaemonMetrics::set_cache`]
-    /// call.
-    pub fn render_consistent(&self) -> String {
-        loop {
-            let before = self.cache_epoch.load(Ordering::Acquire);
-            if before % 2 == 1 {
-                std::hint::spin_loop();
-                continue;
-            }
-            let text = self.registry.to_prometheus();
-            if self.cache_epoch.load(Ordering::Acquire) == before {
-                return text;
-            }
-        }
     }
 }
 
@@ -252,70 +196,5 @@ mod tests {
             snap.gauge("chronus_daemon_slo_burn_5m_x1000_team_a_prod"),
             Some(1500)
         );
-    }
-
-    /// Pulls the value of one `chronus_daemon_cache_*` gauge out of a
-    /// rendered Prometheus scrape.
-    fn scrape_gauge(text: &str, name: &str) -> i64 {
-        for line in text.lines() {
-            if let Some(rest) = line.strip_prefix(name) {
-                if let Ok(v) = rest.trim().parse::<i64>() {
-                    return v;
-                }
-            }
-        }
-        panic!("gauge {name} missing from scrape");
-    }
-
-    #[test]
-    fn scrape_never_tears_the_cache_gauges() {
-        use std::sync::atomic::AtomicBool;
-        use std::sync::Arc;
-
-        let m = Arc::new(DaemonMetrics::new());
-        m.set_cache(0, 0, 0, 0, 0);
-        let stop = Arc::new(AtomicBool::new(false));
-
-        let writer = {
-            let m = Arc::clone(&m);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let mut i = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    i += 1;
-                    // All five gauges carry the same monotone value, so
-                    // any torn read shows up as an inequality below.
-                    m.set_cache(i, i, i, i, i);
-                }
-                i
-            })
-        };
-
-        let mut last = 0i64;
-        for _ in 0..500 {
-            let text = m.render_consistent();
-            let hits = scrape_gauge(&text, "chronus_daemon_cache_hits");
-            for name in [
-                "chronus_daemon_cache_misses",
-                "chronus_daemon_cache_evictions",
-                "chronus_daemon_cache_entries",
-                "chronus_daemon_cache_bytes",
-            ] {
-                assert_eq!(
-                    scrape_gauge(&text, name),
-                    hits,
-                    "torn scrape: {name} != hits"
-                );
-            }
-            assert!(
-                hits >= last,
-                "cache counters went backwards: {hits} < {last}"
-            );
-            last = hits;
-        }
-
-        stop.store(true, Ordering::Relaxed);
-        let final_i = writer.join().unwrap();
-        assert!(final_i > 0);
     }
 }

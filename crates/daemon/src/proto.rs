@@ -50,8 +50,8 @@ pub enum Request {
     Snapshot,
     /// Prometheus text exposition of daemon + engine metrics.
     Metrics,
-    /// Live operational overview: queue depths, token buckets, cache
-    /// hit rates, plan-latency quantiles, SLO burns, recorder stats.
+    /// Live operational overview: queue depths, token buckets,
+    /// plan-latency quantiles, SLO burns, recorder stats.
     Top,
     /// Stream flight-ring events back to the client as they happen.
     Tail {

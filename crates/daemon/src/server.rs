@@ -6,7 +6,7 @@ use crate::service::{Daemon, ShutdownReport};
 use chronus_net::codec::instance_from_value;
 use chronus_trace::{FlightEvent, FlightEventKind, FlightRecorder};
 use serde_json::{Map, Value};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -18,6 +18,11 @@ use std::time::Duration;
 const TAIL_BATCH: usize = 512;
 /// Poll cadence for `tail --follow`.
 const TAIL_POLL: Duration = Duration::from_millis(50);
+/// Longest request line the server buffers, newline excluded. The
+/// submit line of an n=2048 fig10 instance measures 97 750 bytes, so
+/// the cap leaves about ten times that. A longer line is answered with
+/// a protocol error and its connection is closed.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Serves `daemon` on its configured Unix socket until a client sends
 /// `drain`, then gracefully shuts the daemon down and returns the
@@ -70,14 +75,37 @@ fn serve_connection(
     wake_accept: impl Fn(),
 ) -> std::io::Result<()> {
     let mut writer = stream.try_clone()?;
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let line = line?;
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        // One byte past the cap tells an over-long line from one that
+        // fits exactly.
+        let read = (&mut reader)
+            .take(MAX_LINE_BYTES as u64 + 1)
+            .read_until(b'\n', &mut buf)?;
+        if read == 0 {
+            break;
+        }
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+        }
+        if buf.len() > MAX_LINE_BYTES {
+            // The rest of the line is still unread, so the stream
+            // cannot be resynchronized: answer, then hang up.
+            daemon.metrics().requests.inc();
+            daemon.metrics().proto_errors.inc();
+            let error = format!("request line exceeds {MAX_LINE_BYTES} bytes");
+            write_response(&mut writer, &proto::err_response(&error, false))?;
+            break;
+        }
+        let line = std::str::from_utf8(&buf)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
         if line.trim().is_empty() {
             continue;
         }
         daemon.metrics().requests.inc();
-        let (response, drain) = match proto::request_from_line(&line) {
+        let (response, drain) = match proto::request_from_line(line) {
             Ok(Request::Tail {
                 filter,
                 max_events,
@@ -98,10 +126,7 @@ fn serve_connection(
                 (proto::err_response(&e, false), false)
             }
         };
-        let text = serde_json::to_string(&response)
-            .unwrap_or_else(|_| r#"{"ok":false,"error":"encode failed"}"#.to_string());
-        writeln!(writer, "{text}")?;
-        writer.flush()?;
+        write_response(&mut writer, &response)?;
         if drain {
             stop.store(true, Ordering::Release);
             wake_accept();
@@ -109,6 +134,14 @@ fn serve_connection(
         }
     }
     Ok(())
+}
+
+/// Writes one response line and flushes it.
+fn write_response(writer: &mut UnixStream, response: &Value) -> std::io::Result<()> {
+    let text = serde_json::to_string(response)
+        .unwrap_or_else(|_| r#"{"ok":false,"error":"encode failed"}"#.to_string());
+    writeln!(writer, "{text}")?;
+    writer.flush()
 }
 
 /// Executes one request against the daemon.

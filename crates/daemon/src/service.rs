@@ -24,7 +24,7 @@ use chronus_trace::FlightRecorder;
 use parking_lot::RwLock;
 use serde_json::{Map, Value};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -158,6 +158,15 @@ struct Inner {
     status_cv: Condvar,
     journal: Mutex<Journal>,
     armed: Mutex<BTreeMap<u64, ArmedRecord>>,
+    /// Arm and completion records appended since startup; bumped under
+    /// the `armed` lock.
+    journal_appends: AtomicU64,
+    /// `journal_appends` as of the last compaction (`u64::MAX` before
+    /// the first, which rewrites the replayed file), and the live count
+    /// it wrote. Equal counts mean the file already holds exactly the
+    /// live set, so a compaction has nothing to rewrite.
+    compacted_at: AtomicU64,
+    compacted_live: AtomicUsize,
     metrics: DaemonMetrics,
     slo: Mutex<SloTracker>,
     /// Shed-storm window: start (daemon-clock ns, truncated to u64)
@@ -344,6 +353,7 @@ impl Inner {
                         return;
                     }
                     armed.insert(job.id, record);
+                    self.journal_appends.fetch_add(1, Ordering::Release);
                     armed.len()
                 };
                 self.metrics.journal_arm_records.inc();
@@ -377,18 +387,31 @@ impl Inner {
     /// `armed` lock for the whole rewrite so arm/confirm (which mutate
     /// the map and the journal under the same lock) cannot interleave
     /// and have their records dropped from the rewritten file.
+    ///
+    /// A journal with no appends since the last compaction is left as
+    /// it is, and that is decided before taking `armed`: back-to-back
+    /// snapshot requests would otherwise hold the lock through one
+    /// rewrite and fsync after another and starve arms and confirms.
     fn compact_journal(&self) -> std::io::Result<usize> {
+        if self.journal_appends.load(Ordering::Acquire) == self.compacted_at.load(Ordering::Acquire)
+        {
+            return Ok(self.compacted_live.load(Ordering::Relaxed));
+        }
         let armed = lock(&self.armed);
-        let live: Vec<&ArmedRecord> = armed.values().collect();
-        let count = live.len();
-        lock(&self.journal).compact(&live)?;
-        self.metrics.snapshots.inc();
-        Ok(count)
+        let appends = self.journal_appends.load(Ordering::Relaxed);
+        if appends != self.compacted_at.load(Ordering::Relaxed) {
+            let live: Vec<&ArmedRecord> = armed.values().collect();
+            lock(&self.journal).compact(&live)?;
+            self.metrics.snapshots.inc();
+            self.compacted_live.store(live.len(), Ordering::Relaxed);
+            self.compacted_at.store(appends, Ordering::Release);
+        }
+        Ok(armed.len())
     }
 }
 
-/// The `chronusd` service: admission, planning workers, warm engine
-/// state and the write-ahead journal, behind a cloneable handle-free
+/// The `chronusd` service: admission, planning workers, the resident
+/// engine and the write-ahead journal, behind a cloneable handle-free
 /// API (the IPC server shares it via `Arc<Daemon>` internally).
 pub struct Daemon {
     inner: Arc<Inner>,
@@ -505,6 +528,9 @@ impl Daemon {
             status_cv: Condvar::new(),
             journal: Mutex::new(journal),
             armed: Mutex::new(armed),
+            journal_appends: AtomicU64::new(0),
+            compacted_at: AtomicU64::new(u64::MAX),
+            compacted_live: AtomicUsize::new(0),
             metrics,
             slo: Mutex::new(slo),
             shed_window_start: AtomicU64::new(0),
@@ -719,6 +745,7 @@ impl Daemon {
             .append_complete(id)
             .map_err(|e| format!("journal complete: {e}"))?;
         armed.remove(&id);
+        inner.journal_appends.fetch_add(1, Ordering::Release);
         let live = armed.len();
         drop(armed);
         inner.metrics.confirmed.inc();
@@ -733,29 +760,15 @@ impl Daemon {
     }
 
     /// Prometheus text exposition: the daemon's `chronus_daemon_*`
-    /// series (cache gauges refreshed from the engine, rendered under
-    /// the cache seqlock so the five gauges are never a torn mix of
-    /// two refreshes) followed by the engine's `chronus_engine_*`
-    /// series.
+    /// series followed by the engine's `chronus_engine_*` series.
     pub fn metrics_text(&self) -> String {
         let inner = &self.inner;
-        let engine_text = {
-            let guard = inner.engine.read();
-            match guard.as_ref() {
-                Some(engine) => {
-                    let report = engine.report();
-                    inner.metrics.set_cache(
-                        report.cache_hits,
-                        report.cache_misses,
-                        report.cache_evictions,
-                        report.cache_entries,
-                        report.cache_bytes,
-                    );
-                    engine.metrics().registry().to_prometheus()
-                }
-                None => String::new(),
-            }
-        };
+        let engine_text = inner
+            .engine
+            .read()
+            .as_ref()
+            .map(|engine| engine.metrics().registry().to_prometheus())
+            .unwrap_or_default();
         if FlightRecorder::is_on() {
             inner
                 .metrics
@@ -772,15 +785,15 @@ impl Daemon {
                 .sum();
             inner.metrics.flight_dropped.set(dropped as i64);
         }
-        let mut out = inner.metrics.render_consistent();
+        let mut out = inner.metrics.registry().to_prometheus();
         out.push_str(&engine_text);
         out
     }
 
     /// The live operational overview behind `chronusctl top`: queue
-    /// depths, per-tenant token-bucket levels, warm-cache hit rates,
-    /// plan-latency quantiles, SLO burn rates and flight-recorder
-    /// health, all in one JSON object.
+    /// depths, per-tenant token-bucket levels, plan-latency quantiles,
+    /// SLO burn rates and flight-recorder health, all in one JSON
+    /// object.
     pub fn top(&self) -> Value {
         let inner = &self.inner;
         let now = inner.now_ns();
@@ -798,9 +811,7 @@ impl Daemon {
             Value::from_u64_exact(inner.started.elapsed().as_millis() as u64),
         );
 
-        // Engine before admission, matching the declared lock order;
-        // the admission lock is taken once for depths and buckets.
-        let cache_report = inner.engine.read().as_ref().map(|e| e.report());
+        // The admission lock is taken once for depths and buckets.
         let ((h, n, l), levels) = {
             let q = lock(&inner.admission);
             (q.depths(), q.bucket_levels(now))
@@ -830,29 +841,6 @@ impl Daemon {
             "armed".to_string(),
             Value::from_u64_exact(self.armed_len() as u64),
         );
-
-        let mut cache = Map::new();
-        if let Some(report) = cache_report {
-            let lookups = report.cache_hits + report.cache_misses;
-            cache.insert("hits".to_string(), Value::from_u64_exact(report.cache_hits));
-            cache.insert(
-                "misses".to_string(),
-                Value::from_u64_exact(report.cache_misses),
-            );
-            cache.insert(
-                "entries".to_string(),
-                Value::from_u64_exact(report.cache_entries),
-            );
-            cache.insert(
-                "hit_rate".to_string(),
-                Value::from(if lookups == 0 {
-                    0.0
-                } else {
-                    report.cache_hits as f64 / lookups as f64
-                }),
-            );
-        }
-        obj.insert("cache".to_string(), Value::Object(cache));
 
         let mut plan = Map::new();
         for (label, q) in [("p50_ns", 0.5), ("p90_ns", 0.9), ("p99_ns", 0.99)] {

@@ -6,8 +6,11 @@
 //! snapshot, a Prometheus scrape — then drains and asserts a clean
 //! exit with the socket file removed.
 
+use chronus_daemon::server::MAX_LINE_BYTES;
 use chronus_daemon::{run_server, CtlClient, Daemon, DaemonConfig, Priority};
 use serde_json::Value;
+use std::io::{BufRead, BufReader, Write};
+use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -112,7 +115,7 @@ fn fifty_submissions_scrape_and_drain_cleanly() {
         "# TYPE chronus_daemon_admitted_total counter",
         "# TYPE chronus_daemon_shed_rate_limited_total counter",
         "# TYPE chronus_daemon_queue_wait_ns histogram",
-        "# TYPE chronus_daemon_cache_hits gauge",
+        "# TYPE chronus_daemon_plan_ns histogram",
         "# TYPE chronus_engine_requests_completed_total counter",
     ] {
         assert!(text.contains(series), "scrape missing `{series}`:\n{text}");
@@ -128,10 +131,12 @@ fn fifty_submissions_scrape_and_drain_cleanly() {
     assert_eq!(sample("chronus_daemon_admitted_total"), 51.0);
     assert_eq!(sample("chronus_daemon_shed_rate_limited_total"), 1.0);
     assert_eq!(sample("chronus_daemon_armed_total"), 51.0);
-    // The repeated instance makes the warm cache pay off.
+    // Every admitted submission was planned, and timed.
+    assert_eq!(sample("chronus_daemon_plan_ns_count"), 51.0);
+    // The engine keeps no window cache, so none is exposed.
     assert!(
-        sample("chronus_daemon_cache_hits") >= 1.0,
-        "resident cache saw no hits:\n{text}"
+        !text.contains("chronus_daemon_cache_"),
+        "scrape still renders cache series:\n{text}"
     );
 
     // Aggregate status view.
@@ -154,6 +159,64 @@ fn fifty_submissions_scrape_and_drain_cleanly() {
     assert_eq!(report.snapshot_live, 51);
     assert!(!socket.exists(), "socket file must be removed on exit");
 
+    let _ = std::fs::remove_dir_all(state);
+    if let Some(dir) = socket.parent() {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+#[test]
+fn over_long_request_line_is_refused_and_the_server_keeps_serving() {
+    let state = temp_dir("cap-state");
+    let socket = temp_dir("cap-sock").join("chronusd.sock");
+    let config = DaemonConfig {
+        socket: socket.clone(),
+        snapshot_dir: state.clone(),
+        snapshot_interval_ms: 0,
+        ..DaemonConfig::default()
+    };
+    let daemon = Daemon::start(config).expect("daemon start");
+    let server = std::thread::Builder::new()
+        .name("cap-server".to_string())
+        .spawn(move || run_server(daemon))
+        .expect("spawn server");
+    let mut client = connect(&socket);
+    client.ping().expect("ping");
+
+    // One line a byte past the cap. The server stops reading there and
+    // hangs up, so the newline may land on a closed socket.
+    let mut raw = UnixStream::connect(&socket).expect("raw connect");
+    raw.write_all(&vec![b'x'; MAX_LINE_BYTES + 1])
+        .expect("write the capped prefix");
+    let _ = raw.write_all(b"\n");
+    let mut reader = BufReader::new(raw);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("error reply");
+    let reply: Value = serde_json::from_str(&reply).expect("json reply");
+    assert_eq!(reply.get("ok"), Some(&Value::Bool(false)), "{reply:?}");
+    let error = reply.get("error").and_then(Value::as_str).unwrap_or("");
+    assert!(error.contains("exceeds"), "{reply:?}");
+    let mut rest = String::new();
+    assert_eq!(
+        reader.read_line(&mut rest).expect("read after reply"),
+        0,
+        "the connection is closed after the error"
+    );
+
+    // A fresh connection still answers, and the refusal was counted.
+    let mut fresh = connect(&socket);
+    fresh.ping().expect("ping after an over-long line");
+    let text = fresh.metrics_text().expect("metrics");
+    assert!(
+        text.contains("chronus_daemon_proto_errors_total 1\n"),
+        "{text}"
+    );
+
+    fresh.drain().expect("drain");
+    server
+        .join()
+        .expect("server thread")
+        .expect("server result");
     let _ = std::fs::remove_dir_all(state);
     if let Some(dir) = socket.parent() {
         let _ = std::fs::remove_dir_all(dir);

@@ -204,7 +204,7 @@ fn connect(socket: &Path) -> CtlClient {
 }
 
 /// `top` and `tail` live over a real Unix socket: top reports queues,
-/// cache, SLO burn and recorder state; tail replays `engine.plan`
+/// SLO burn and recorder state; tail replays `engine.plan`
 /// events from the ring; dump writes an operator-initiated file.
 #[test]
 fn top_and_tail_are_live_over_the_socket() {
@@ -253,7 +253,7 @@ fn top_and_tail_are_live_over_the_socket() {
     // top: one JSON object with the live operational surface.
     let top = client.top().expect("top");
     assert_eq!(top.get("state").and_then(Value::as_str), Some("running"));
-    for key in ["queues", "tenants", "updates", "cache", "slo", "flight"] {
+    for key in ["queues", "tenants", "updates", "slo", "flight"] {
         assert!(top.get(key).is_some(), "top missing `{key}`: {top:?}");
     }
     assert_eq!(

@@ -222,6 +222,81 @@ fn compaction_racing_arms_and_confirms_loses_nothing() {
     let _ = std::fs::remove_dir_all(snapshot_dir);
 }
 
+/// Journal rewrites so far, read off the daemon's scrape.
+fn journal_rewrites(daemon: &Daemon) -> u64 {
+    daemon
+        .metrics_text()
+        .lines()
+        .find_map(|line| line.strip_prefix("chronus_daemon_snapshots_total "))
+        .and_then(|v| v.trim().parse().ok())
+        .expect("chronus_daemon_snapshots_total in the scrape")
+}
+
+fn journal_lines(path: &Path) -> usize {
+    std::fs::read_to_string(path)
+        .expect("read journal")
+        .lines()
+        .count()
+}
+
+#[test]
+fn snapshots_of_an_unchanged_journal_rewrite_nothing() {
+    let snapshot_dir = temp_state_dir("idle");
+    let cfg = config(&snapshot_dir, BASE);
+    let journal_path = cfg.journal_path();
+    let daemon = Daemon::start(cfg).expect("start");
+    let ids = arm_batch(&daemon, 3);
+
+    assert_eq!(daemon.snapshot().expect("snapshot"), 3);
+    let rewrites = journal_rewrites(&daemon);
+    for _ in 0..5 {
+        assert_eq!(daemon.snapshot().expect("idle snapshot"), 3);
+    }
+    assert_eq!(
+        journal_rewrites(&daemon),
+        rewrites,
+        "an idle journal was rewritten"
+    );
+
+    daemon.confirm(ids[0]).expect("confirm");
+    assert_eq!(daemon.snapshot().expect("snapshot after confirm"), 2);
+    assert_eq!(journal_rewrites(&daemon), rewrites + 1);
+    assert_eq!(journal_lines(&journal_path), 2);
+
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(snapshot_dir);
+}
+
+#[test]
+fn first_snapshot_after_a_restart_compacts_the_replayed_journal() {
+    let snapshot_dir = temp_state_dir("replayed");
+    let cfg = config(&snapshot_dir, BASE);
+    let journal_path = cfg.journal_path();
+    let daemon = Daemon::start(cfg).expect("first start");
+    let ids = arm_batch(&daemon, 4);
+    daemon.confirm(ids[0]).expect("confirm first");
+    daemon.confirm(ids[1]).expect("confirm second");
+    drop(daemon); // crash: four arm records and two tombstones on disk
+    assert_eq!(journal_lines(&journal_path), 6);
+
+    // The restore appends nothing (a short outage re-arms both), yet
+    // the replayed file still holds the settled records.
+    let daemon = Daemon::start(config(&snapshot_dir, BASE - 1_000_000_000)).expect("restart");
+    assert_eq!(daemon.restore_report().rearmed, 2);
+    assert_eq!(daemon.snapshot().expect("snapshot"), 2);
+    assert_eq!(journal_lines(&journal_path), 2);
+    let live: Vec<u64> = Journal::replay(&journal_path)
+        .expect("replay journal")
+        .live
+        .iter()
+        .map(|r| r.id)
+        .collect();
+    assert_eq!(live, ids[2..]);
+
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(snapshot_dir);
+}
+
 #[test]
 fn a_long_outage_rolls_back_every_missed_window() {
     let snapshot_dir = temp_state_dir("rollback");

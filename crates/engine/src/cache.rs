@@ -1,26 +1,17 @@
-//! Memoized time-extended-network construction.
+//! An unbounded memo of materialized time-extended windows.
 //!
-//! Materializing `G_T` is the one piece of planning work that is a
-//! pure function of `(topology, flow, horizon)`: batches that replan
-//! the same flow (retries, deadline re-submissions, emulator reruns)
-//! rebuild an identical window every time. The engine shares one
-//! [`TimeNetCache`] across all workers and memoizes the owned
-//! [`MaterializedTimeNet`] snapshot per key.
-//!
-//! A long-running service (the `chronusd` daemon) keeps one engine —
-//! and hence one cache — resident across its whole lifetime, so the
-//! cache optionally takes a capacity bound: when set, inserting past
-//! it evicts the oldest window (FIFO), counted by
-//! [`TimeNetCache::evictions`]. Unbounded remains the default for
-//! batch use.
-// `flows[0]`: the engine plans single-flow instances (the cache key
-// is per-flow by design).
+//! No planning stage reads a materialized `G_T`: greedy, tree, the
+//! certifier and the slack search all evaluate it virtually. The memo
+//! survives only for callers that time materialization by hand
+//! (through [`crate::Engine::cache`]); no engine or daemon code path
+//! calls it.
+// `flows[0]`: the key is per-flow by design.
 #![allow(clippy::indexing_slicing)]
 
 use chronus_net::{Flow, Network, TimeStep, UpdateInstance};
 use chronus_timenet::{MaterializedTimeNet, TimeExtendedNetwork};
 use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -77,6 +68,13 @@ pub fn flow_signature(flow: &Flow) -> u64 {
     h.finish()
 }
 
+/// The horizon of a request's time-extended window: the instance's
+/// total path delay, the natural upper bound on how far into past and
+/// future a consistent migration can reach.
+pub fn planning_horizon(instance: &UpdateInstance) -> TimeStep {
+    instance.total_path_delay().max(1) as TimeStep
+}
+
 /// Key of one memoized `G_T` window.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct CacheKey {
@@ -100,43 +98,18 @@ impl CacheKey {
     }
 }
 
-/// Map plus FIFO insertion order, under one lock so eviction and
-/// lookup agree on membership.
-#[derive(Default)]
-struct CacheState {
-    map: HashMap<CacheKey, Arc<MaterializedTimeNet>>,
-    order: VecDeque<CacheKey>,
-}
-
-/// Shared, thread-safe memoization of materialized `G_T` windows,
-/// optionally bounded with FIFO eviction.
+/// Thread-safe, unbounded memoization of materialized `G_T` windows.
 #[derive(Default)]
 pub struct TimeNetCache {
-    entries: Mutex<CacheState>,
-    capacity: Option<usize>,
+    entries: Mutex<HashMap<CacheKey, Arc<MaterializedTimeNet>>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    evictions: AtomicU64,
 }
 
 impl TimeNetCache {
     /// An empty, unbounded cache.
     pub fn new() -> Self {
         TimeNetCache::default()
-    }
-
-    /// An empty cache holding at most `capacity` windows (clamped to
-    /// ≥ 1); the oldest window is evicted on overflow.
-    pub fn bounded(capacity: usize) -> Self {
-        TimeNetCache {
-            capacity: Some(capacity.max(1)),
-            ..TimeNetCache::default()
-        }
-    }
-
-    /// The capacity bound, `None` when unbounded.
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
     }
 
     /// Returns the memoized window for `key`, materializing it from
@@ -146,7 +119,7 @@ impl TimeNetCache {
         key: CacheKey,
         instance: &UpdateInstance,
     ) -> (Arc<MaterializedTimeNet>, bool) {
-        if let Some(found) = self.entries.lock().map.get(&key) {
+        if let Some(found) = self.entries.lock().get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return (found.clone(), true);
         }
@@ -157,21 +130,7 @@ impl TimeNetCache {
         let te = TimeExtendedNetwork::new(&instance.network, -reach, reach);
         let built = Arc::new(te.materialize());
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut state = self.entries.lock();
-        if state.map.insert(key, built.clone()).is_none() {
-            state.order.push_back(key);
-        }
-        if let Some(cap) = self.capacity {
-            while state.map.len() > cap {
-                match state.order.pop_front() {
-                    Some(oldest) => {
-                        state.map.remove(&oldest);
-                        self.evictions.fetch_add(1, Ordering::Relaxed);
-                    }
-                    None => break,
-                }
-            }
-        }
+        self.entries.lock().insert(key, built.clone());
         (built, false)
     }
 
@@ -185,14 +144,9 @@ impl TimeNetCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Number of windows evicted by the capacity bound.
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
     /// Number of distinct memoized windows.
     pub fn len(&self) -> usize {
-        self.entries.lock().map.len()
+        self.entries.lock().len()
     }
 
     /// `true` when nothing has been memoized yet.
@@ -202,12 +156,7 @@ impl TimeNetCache {
 
     /// Total approximate heap footprint of the memoized windows.
     pub fn approx_bytes(&self) -> usize {
-        self.entries
-            .lock()
-            .map
-            .values()
-            .map(|m| m.approx_bytes())
-            .sum()
+        self.entries.lock().values().map(|m| m.approx_bytes()).sum()
     }
 }
 
@@ -245,28 +194,5 @@ mod tests {
         assert_ne!(third.t_max(), first.t_max());
         assert_eq!(cache.len(), 2);
         assert!(cache.approx_bytes() > 0);
-        assert_eq!(cache.evictions(), 0, "unbounded caches never evict");
-    }
-
-    #[test]
-    fn bounded_cache_evicts_fifo() {
-        let inst = motivating_example();
-        let cache = TimeNetCache::bounded(2);
-        assert_eq!(cache.capacity(), Some(2));
-        for horizon in [3, 4, 5] {
-            let key = CacheKey::for_instance(&inst, horizon);
-            let (_, hit) = cache.get_or_materialize(key, &inst);
-            assert!(!hit);
-        }
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.evictions(), 1);
-        // Oldest (horizon 3) was evicted; newest two still hit.
-        let (_, hit) = cache.get_or_materialize(CacheKey::for_instance(&inst, 5), &inst);
-        assert!(hit);
-        let (_, hit) = cache.get_or_materialize(CacheKey::for_instance(&inst, 4), &inst);
-        assert!(hit);
-        let (_, miss) = cache.get_or_materialize(CacheKey::for_instance(&inst, 3), &inst);
-        assert!(!miss, "horizon 3 was evicted and re-materializes");
-        assert_eq!(cache.evictions(), 2);
     }
 }

@@ -6,7 +6,8 @@
 //!    reserves shared-link capacity per shard, and plans the shards in
 //!    parallel, composing their certificates into one sealed proof.
 //!    Runs only when the engine was configured with a
-//!    [`ShardingConfig`] and the request carries more than one flow.
+//!    [`ShardingConfig`](crate::ShardingConfig) and the request
+//!    carries more than one flow.
 //! 1. **Greedy** (paper Algorithm 2) — the Chronus scheduler; when it
 //!    succeeds the flow migrates with no rule-space overhead.
 //! 2. **Tree** (paper Algorithm 1) — the feasibility search; slower,
@@ -20,17 +21,19 @@
 //! The deadline governs the *optimizing* stages only: a request whose
 //! budget runs out before greedy or tree finishes skips ahead and
 //! still leaves with a consistent two-phase plan — deadline pressure
-//! degrades plan quality, never correctness.
+//! degrades plan quality, never correctness. The same deadline bounds
+//! the slack stage that follows a timed win: no dilation factor starts
+//! after it has passed.
 // `flows[0]`: the chain plans single-flow instances; multi-flow
 // batches are split into one request per flow upstream.
 #![allow(clippy::indexing_slicing)]
 
-use crate::cache::{CacheKey, TimeNetCache};
 use crate::metrics::EngineMetrics;
+use crate::pool::EngineConfig;
 use crate::request::{RequestId, UpdateRequest};
 use chronus_baselines::tp::{tp_plan, TpPlan};
 use chronus_core::greedy::{greedy_schedule_in, GreedyConfig};
-use chronus_core::shard::{shard_schedule_in, ShardingConfig};
+use chronus_core::shard::shard_schedule_in;
 use chronus_core::tree::{check_feasibility, Feasibility};
 use chronus_net::{TimeStep, UpdateInstance};
 use chronus_timenet::{Schedule, SimWorkspace};
@@ -81,7 +84,8 @@ impl Default for SlackPolicy {
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Stage {
     /// The sharded multi-flow planner (opt-in; multi-flow requests
-    /// under an engine configured with a [`ShardingConfig`]).
+    /// under an engine configured with a
+    /// [`ShardingConfig`](crate::ShardingConfig)).
     Sharded,
     /// The greedy scheduler (paper Algorithm 2).
     Greedy,
@@ -175,12 +179,6 @@ pub struct PlannedUpdate {
     pub attempts: Vec<StageAttempt>,
     /// Total planning wall-clock time for this request.
     pub elapsed: Duration,
-    /// `true` when the time-extended window came from the shared cache.
-    pub cache_hit: bool,
-    /// `|V_T|` of the request's time-extended window.
-    pub te_nodes: usize,
-    /// `|E_T|` of the request's time-extended window.
-    pub te_links: usize,
     /// `true` when the deadline expired before every optimizing stage
     /// could run (the plan is then the two-phase fallback).
     pub deadline_exceeded: bool,
@@ -246,13 +244,6 @@ impl fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
-/// The planning horizon used for the cached time-extended window: the
-/// instance's total path delay, the natural upper bound on how far
-/// into past and future a consistent migration can reach.
-pub fn planning_horizon(instance: &UpdateInstance) -> TimeStep {
-    instance.total_path_delay().max(1) as TimeStep
-}
-
 /// The ingress flip time the engine assigns to two-phase plans: one
 /// step past the initial path's total delay, so every old-generation
 /// packet in flight at the flip has drained past any shared link.
@@ -262,80 +253,6 @@ pub fn tp_flip_time(instance: &UpdateInstance) -> TimeStep {
         .total_delay(&instance.network)
         .unwrap_or(0);
     (phi_init + 1) as TimeStep
-}
-
-/// Walks the fallback chain for one request against a shared cache,
-/// recording per-stage metrics. This is the worker-side entry point;
-/// it is deterministic for a fixed request whenever the deadline does
-/// not bite (every stage is itself deterministic).
-pub fn plan_with_chain(
-    req: &UpdateRequest,
-    cache: &TimeNetCache,
-    metrics: &EngineMetrics,
-) -> PlannedUpdate {
-    let mut ws = SimWorkspace::default();
-    plan_with_chain_in(req, cache, metrics, &mut ws)
-}
-
-/// Like [`plan_with_chain_in`], with an explicit certification config
-/// (the engine passes [`crate::EngineConfig::verify`] through here).
-pub fn plan_with_chain_cfg(
-    req: &UpdateRequest,
-    cache: &TimeNetCache,
-    metrics: &EngineMetrics,
-    ws: &mut SimWorkspace,
-    verify: &VerifyConfig,
-) -> PlannedUpdate {
-    plan_chain_impl(req, cache, metrics, ws, verify, None, None)
-}
-
-/// The full worker-side entry point: certification config plus an
-/// optional [`SlackPolicy`] driving the post-win slack stage.
-pub fn plan_with_chain_slack(
-    req: &UpdateRequest,
-    cache: &TimeNetCache,
-    metrics: &EngineMetrics,
-    ws: &mut SimWorkspace,
-    verify: &VerifyConfig,
-    slack: Option<&SlackPolicy>,
-) -> PlannedUpdate {
-    plan_chain_impl(req, cache, metrics, ws, verify, slack, None)
-}
-
-/// The complete worker-side entry point: certification config, slack
-/// policy, and the opt-in sharded multi-flow pre-stage. With
-/// `sharding: None` this is exactly [`plan_with_chain_slack`].
-pub fn plan_with_chain_sharded(
-    req: &UpdateRequest,
-    cache: &TimeNetCache,
-    metrics: &EngineMetrics,
-    ws: &mut SimWorkspace,
-    verify: &VerifyConfig,
-    slack: Option<&SlackPolicy>,
-    sharding: Option<&ShardingConfig>,
-) -> PlannedUpdate {
-    plan_chain_impl(req, cache, metrics, ws, verify, slack, sharding)
-}
-
-/// Like [`plan_with_chain`], but reuses caller-owned simulation
-/// buffers for the greedy stage's exact gate. Each engine worker keeps
-/// one [`SimWorkspace`] for its whole life, so steady-state planning
-/// does not re-allocate the load ledger per request.
-pub fn plan_with_chain_in(
-    req: &UpdateRequest,
-    cache: &TimeNetCache,
-    metrics: &EngineMetrics,
-    ws: &mut SimWorkspace,
-) -> PlannedUpdate {
-    plan_chain_impl(
-        req,
-        cache,
-        metrics,
-        ws,
-        &VerifyConfig::default(),
-        None,
-        None,
-    )
 }
 
 /// The static span name for one stage's attempt.
@@ -348,17 +265,42 @@ fn stage_span_name(stage: Stage) -> &'static str {
     }
 }
 
+/// What the slack stage ships: the schedule, its slack certificate,
+/// the consistency certificate matching it (`None` when the stage
+/// certified nothing, so the winner's certificate stands), and the
+/// dilation factor applied.
+type SlackPurchase = (Schedule, SlackCertificate, Option<Certificate>, TimeStep);
+
 /// The slack stage: dilates a winning timed schedule until its slack
-/// certificate meets the policy target (or the factor cap), returning
-/// the schedule to ship, its slack certificate, the consistency
-/// certificate matching it, and the factor applied.
+/// certificate meets the policy target (or the factor cap).
+///
+/// The request's deadline (`deadline` after `started`) bounds the
+/// stage: once it has passed, no further factor is tried and the best
+/// one so far ships. When it has passed before the first factor, the
+/// undilated winner ships with zero certified slack — exact firing
+/// only, which the journal and restore treat as a zero budget.
 fn buy_slack(
     instance: &UpdateInstance,
     schedule: &Schedule,
     policy: &SlackPolicy,
-) -> Option<(Schedule, SlackCertificate, Certificate, TimeStep)> {
-    let mut best: Option<(Schedule, SlackCertificate, Certificate, TimeStep)> = None;
+    started: Instant,
+    deadline: Duration,
+) -> Option<SlackPurchase> {
+    let mut best: Option<SlackPurchase> = None;
     for factor in 1..=policy.max_dilation.max(1) {
+        if started.elapsed() >= deadline {
+            if factor == 1 {
+                let exact = SlackCertificate {
+                    slack_steps: 0,
+                    schedules_checked: 0,
+                    budget_exhausted: true,
+                    per_switch: Vec::new(),
+                    counterexample: None,
+                };
+                return Some((schedule.clone(), exact, None, 1));
+            }
+            break;
+        }
         let candidate = schedule.dilated(factor);
         let Ok((cert, slack)) = certify_with_slack(instance, &candidate, &policy.search) else {
             // A dilation should never break a consistent plan, but if
@@ -370,7 +312,7 @@ fn buy_slack(
             .as_ref()
             .is_none_or(|(_, b, _, _)| slack.slack_steps > b.slack_steps);
         if improves {
-            best = Some((candidate, slack, cert, factor));
+            best = Some((candidate, slack, Some(cert), factor));
         }
         if reached {
             break;
@@ -489,28 +431,28 @@ fn two_phase_fallback(req: &UpdateRequest, verify: &VerifyConfig) -> StageWin {
     (PlanKind::TwoPhase(tp), certificate)
 }
 
-fn plan_chain_impl(
+/// Walks the fallback chain for one request under `config`'s
+/// certification, slack and sharding settings, recording per-stage
+/// metrics. `ws` holds the greedy gate's simulation buffers: each
+/// engine worker keeps one for its whole life, so steady-state
+/// planning does not re-allocate the load ledger per request. The walk
+/// is deterministic for a fixed request whenever the deadline does
+/// not bite (every stage is itself deterministic).
+pub fn plan_with_chain(
     req: &UpdateRequest,
-    cache: &TimeNetCache,
+    config: &EngineConfig,
     metrics: &EngineMetrics,
     ws: &mut SimWorkspace,
-    verify: &VerifyConfig,
-    slack_policy: Option<&SlackPolicy>,
-    sharding: Option<&ShardingConfig>,
 ) -> PlannedUpdate {
     let started = Instant::now();
     let instance = &req.instance;
+    let verify = &config.verify;
     let mut plan_span = chronus_trace::span!(
         "engine.plan",
         request = req.id.0,
         flows = instance.flows.len()
     )
     .entered();
-
-    // Memoized time-extended window: the planning context shared by
-    // identical re-plans of the same (topology, flow, horizon).
-    let key = CacheKey::for_instance(instance, planning_horizon(instance));
-    let (timenet, cache_hit) = cache.get_or_materialize(key, instance);
 
     let mut chain = ChainRun {
         metrics,
@@ -526,7 +468,7 @@ fn plan_chain_impl(
     // capacity-reservation table. The attempt is recorded only when
     // sharding is configured, so unsharded engines keep the familiar
     // three-stage attempt list.
-    if let Some(shard_cfg) = sharding {
+    if let Some(shard_cfg) = &config.sharding {
         if instance.flows.len() < 2 {
             chain.skip(Stage::Sharded, "single-flow request");
         } else {
@@ -595,10 +537,10 @@ fn plan_chain_impl(
     // plans have no timed schedule to perturb and skip the stage.
     let mut slack = None;
     let mut dilation = 1;
-    if let (Some(policy), PlanKind::Timed(schedule)) = (slack_policy, &plan) {
+    if let (Some(policy), PlanKind::Timed(schedule)) = (&config.slack, &plan) {
         let stage_start = Instant::now();
         let mut slack_span = chronus_trace::span!("engine.stage.slack").entered();
-        match buy_slack(instance, schedule, policy) {
+        match buy_slack(instance, schedule, policy, started, req.deadline) {
             Some((shipped, slack_cert, cert, factor)) => {
                 let target_met = slack_cert.slack_steps >= policy.target_steps;
                 if slack_span.is_recording() {
@@ -608,8 +550,8 @@ fn plan_chain_impl(
                 }
                 metrics.record_slack(&slack_cert, factor, target_met);
                 plan = PlanKind::Timed(shipped);
-                if verify.enabled {
-                    certificate = Some(cert);
+                if verify.enabled && cert.is_some() {
+                    certificate = cert;
                 }
                 slack = Some(slack_cert);
                 dilation = factor;
@@ -632,7 +574,6 @@ fn plan_chain_impl(
     }
     if plan_span.is_recording() {
         plan_span.record("winner", winner_stage.to_string());
-        plan_span.record("cache_hit", cache_hit);
         plan_span.record("deadline_exceeded", deadline_exceeded);
         plan_span.record("certified", certificate.is_some());
     }
@@ -644,9 +585,6 @@ fn plan_chain_impl(
         winner: winner_stage,
         attempts,
         elapsed: started.elapsed(),
-        cache_hit,
-        te_nodes: timenet.nodes.len(),
-        te_links: timenet.links.len(),
         deadline_exceeded,
         certificate,
         slack,
@@ -657,22 +595,23 @@ fn plan_chain_impl(
     planned
 }
 
-/// Plans `requests` one by one on the calling thread against a fresh
-/// cache — the reference behaviour the concurrent engine must
-/// reproduce plan-for-plan (see the equivalence property test).
+/// Plans `requests` one by one on the calling thread under the default
+/// [`EngineConfig`] — the reference behaviour the concurrent engine
+/// must reproduce plan-for-plan (see the equivalence property test).
 pub fn plan_sequential(requests: &[UpdateRequest]) -> Vec<PlannedUpdate> {
-    let cache = TimeNetCache::new();
+    let config = EngineConfig::default();
     let metrics = EngineMetrics::new();
     let mut ws = SimWorkspace::default();
     requests
         .iter()
-        .map(|r| plan_with_chain_in(r, &cache, &metrics, &mut ws))
+        .map(|r| plan_with_chain(r, &config, &metrics, &mut ws))
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ShardingConfig;
     use chronus_net::motivating_example;
     use chronus_timenet::{FluidSimulator, Verdict};
     use std::sync::Arc;
@@ -718,23 +657,18 @@ mod tests {
         UpdateInstance::new(net, flows).unwrap()
     }
 
+    fn plan(req: &UpdateRequest, config: &EngineConfig) -> (PlannedUpdate, EngineMetrics) {
+        let metrics = EngineMetrics::new();
+        let planned = plan_with_chain(req, config, &metrics, &mut SimWorkspace::default());
+        (planned, metrics)
+    }
+
     #[test]
     fn sharded_stage_wins_multi_flow_requests_when_configured() {
         let inst = separable_instance();
-        let cache = TimeNetCache::new();
-        let metrics = EngineMetrics::new();
-        let mut ws = SimWorkspace::default();
         let request = UpdateRequest::new(1, Arc::new(inst.clone()), Duration::from_secs(30));
-        let sharding = ShardingConfig::default();
-        let planned = plan_with_chain_sharded(
-            &request,
-            &cache,
-            &metrics,
-            &mut ws,
-            &VerifyConfig::default(),
-            None,
-            Some(&sharding),
-        );
+        let sharded = EngineConfig::default().with_sharding(ShardingConfig::default());
+        let (planned, _) = plan(&request, &sharded);
         assert_eq!(planned.winner, Stage::Sharded);
         assert_eq!(planned.attempts.len(), 4);
         for stage in [Stage::Greedy, Stage::Tree, Stage::TwoPhase] {
@@ -753,33 +687,15 @@ mod tests {
             Verdict::Consistent
         );
         // Without a sharding config the attempt list stays three-stage.
-        let unsharded = plan_with_chain_slack(
-            &request,
-            &cache,
-            &metrics,
-            &mut ws,
-            &VerifyConfig::default(),
-            None,
-        );
+        let (unsharded, _) = plan(&request, &EngineConfig::default());
         assert!(unsharded.attempt(Stage::Sharded).is_none());
         assert_eq!(unsharded.attempts.len(), 3);
     }
 
     #[test]
     fn sharded_stage_skips_single_flow_requests() {
-        let cache = TimeNetCache::new();
-        let metrics = EngineMetrics::new();
-        let mut ws = SimWorkspace::default();
-        let sharding = ShardingConfig::default();
-        let planned = plan_with_chain_sharded(
-            &req(Duration::from_secs(30)),
-            &cache,
-            &metrics,
-            &mut ws,
-            &VerifyConfig::default(),
-            None,
-            Some(&sharding),
-        );
+        let sharded = EngineConfig::default().with_sharding(ShardingConfig::default());
+        let (planned, _) = plan(&req(Duration::from_secs(30)), &sharded);
         assert_eq!(planned.winner, Stage::Greedy);
         assert_eq!(planned.attempts.len(), 4);
         assert_eq!(
@@ -790,9 +706,7 @@ mod tests {
 
     #[test]
     fn greedy_wins_the_motivating_example() {
-        let cache = TimeNetCache::new();
-        let metrics = EngineMetrics::new();
-        let planned = plan_with_chain(&req(Duration::from_secs(30)), &cache, &metrics);
+        let (planned, _) = plan(&req(Duration::from_secs(30)), &EngineConfig::default());
         assert_eq!(planned.winner, Stage::Greedy);
         assert!(!planned.deadline_exceeded);
         let schedule = planned.timed_schedule().expect("timed plan");
@@ -817,9 +731,7 @@ mod tests {
 
     #[test]
     fn zero_deadline_degrades_to_two_phase() {
-        let cache = TimeNetCache::new();
-        let metrics = EngineMetrics::new();
-        let planned = plan_with_chain(&req(Duration::ZERO), &cache, &metrics);
+        let (planned, _) = plan(&req(Duration::ZERO), &EngineConfig::default());
         assert_eq!(planned.winner, Stage::TwoPhase);
         assert!(planned.deadline_exceeded);
         assert!(matches!(planned.plan, PlanKind::TwoPhase(_)));
@@ -833,9 +745,7 @@ mod tests {
 
     #[test]
     fn two_phase_plan_reports_plan_error_instead_of_panicking() {
-        let cache = TimeNetCache::new();
-        let metrics = EngineMetrics::new();
-        let planned = plan_with_chain(&req(Duration::ZERO), &cache, &metrics);
+        let (planned, _) = plan(&req(Duration::ZERO), &EngineConfig::default());
         assert_eq!(planned.winner, Stage::TwoPhase);
         let err = planned
             .timed_schedule()
@@ -852,19 +762,36 @@ mod tests {
 
     #[test]
     fn disabled_verification_skips_certificates() {
-        let cache = TimeNetCache::new();
-        let metrics = EngineMetrics::new();
-        let mut ws = SimWorkspace::default();
-        let planned = plan_with_chain_cfg(
-            &req(Duration::from_secs(30)),
-            &cache,
-            &metrics,
-            &mut ws,
-            &VerifyConfig::disabled(),
-        );
+        let config = EngineConfig {
+            verify: VerifyConfig::disabled(),
+            ..EngineConfig::default()
+        };
+        let (planned, metrics) = plan(&req(Duration::from_secs(30)), &config);
         assert_eq!(planned.winner, Stage::Greedy);
         assert!(planned.certificate.is_none());
-        assert_eq!(metrics.report(&cache).certs.skipped, 1);
+        assert_eq!(metrics.report().certs.skipped, 1);
+    }
+
+    #[test]
+    fn slack_stage_past_its_deadline_ships_the_undilated_winner() {
+        let inst = motivating_example();
+        let (planned, _) = plan(&req(Duration::from_secs(30)), &EngineConfig::default());
+        let winner = planned.timed_schedule().expect("timed plan");
+        // A zero deadline is spent before the first factor, so nothing
+        // is certified.
+        let (shipped, slack, cert, factor) = buy_slack(
+            &inst,
+            winner,
+            &SlackPolicy::default(),
+            Instant::now(),
+            Duration::ZERO,
+        )
+        .expect("an expired stage still ships");
+        assert_eq!(factor, 1);
+        assert_eq!(&shipped, winner);
+        assert_eq!(slack.slack_steps, 0);
+        assert_eq!(slack.schedules_checked, 0);
+        assert!(cert.is_none(), "the winner's certificate stands");
     }
 
     #[test]

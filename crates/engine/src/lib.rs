@@ -10,16 +10,14 @@
 //!   tree feasibility search → two-phase baseline, so every request
 //!   leaves with a consistency-preserving plan — deadline pressure
 //!   degrades plan *quality* (rule overhead), never correctness;
-//! - [`TimeNetCache`]: shared memoization of materialized
-//!   time-extended windows, keyed by `(topology hash, flow, horizon)`;
 //! - the **slack stage** ([`SlackPolicy`]): timed winners ship with a
 //!   slack certificate — the certified timing tolerance ±Δ — dilating
 //!   the schedule to buy tolerance when the planner's packing
 //!   certifies none;
 //! - [`UpdateWatchdog`]: the deployment-side deadline tracker turning
 //!   that certified tolerance into re-arm-or-rollback decisions;
-//! - [`PlanReport`]: per-stage latencies and win counts, cache hit
-//!   rates, queue depths and deadline casualties.
+//! - [`PlanReport`]: per-stage latencies and win counts, queue depths
+//!   and deadline casualties.
 //!
 //! Concurrency is observationally pure: every chain stage is
 //! deterministic, so a batch planned on N workers yields exactly the
@@ -50,11 +48,12 @@ mod pool;
 mod request;
 mod watchdog;
 
-pub use cache::{flow_signature, topology_hash, CacheKey, TimeNetCache};
+// The window memo is not on any planning path; it is exported only for
+// callers that time materialization by hand.
+pub use cache::{flow_signature, planning_horizon, topology_hash, CacheKey, TimeNetCache};
 pub use fallback::{
-    plan_sequential, plan_with_chain, plan_with_chain_cfg, plan_with_chain_in,
-    plan_with_chain_sharded, plan_with_chain_slack, planning_horizon, tp_flip_time, PlanError,
-    PlanKind, PlannedUpdate, SlackPolicy, Stage, StageAttempt, StageOutcome, TpBatchPlan,
+    plan_sequential, plan_with_chain, tp_flip_time, PlanError, PlanKind, PlannedUpdate,
+    SlackPolicy, Stage, StageAttempt, StageOutcome, TpBatchPlan,
 };
 pub use metrics::{CertStats, EngineMetrics, PlanReport, ShardStats, SlackStats, StageStats};
 pub use pool::{DrainReport, Engine, EngineConfig, PlanTicket};

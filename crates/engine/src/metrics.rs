@@ -13,7 +13,6 @@
 //! whole-process rollup absorb each snapshot into
 //! [`MetricsRegistry::global`].
 
-use crate::cache::TimeNetCache;
 use crate::fallback::{PlannedUpdate, Stage, StageOutcome};
 use chronus_net::TimeStep;
 use chronus_timenet::GateStats;
@@ -282,9 +281,8 @@ impl EngineMetrics {
         self.queue_depth.add(-1);
     }
 
-    /// Derives a [`PlanReport`] view over the registry, folding in the
-    /// shared cache's counters.
-    pub fn report(&self, cache: &TimeNetCache) -> PlanReport {
+    /// Derives a [`PlanReport`] view over the registry.
+    pub fn report(&self) -> PlanReport {
         PlanReport {
             sharded: self.sharded.stats(),
             greedy: self.greedy.stats(),
@@ -324,11 +322,6 @@ impl EngineMetrics {
             timeouts: self.timeouts.get(),
             queue_depth: self.queue_depth.get().max(0) as u64,
             queue_peak: self.queue_peak.get().max(0) as u64,
-            cache_hits: cache.hits(),
-            cache_misses: cache.misses(),
-            cache_evictions: cache.evictions(),
-            cache_entries: cache.len() as u64,
-            cache_bytes: cache.approx_bytes() as u64,
         }
     }
 }
@@ -411,7 +404,7 @@ pub struct SlackStats {
 }
 
 /// Point-in-time engine report: per-stage latencies and win counts,
-/// cache effectiveness, queue pressure and deadline casualties.
+/// queue pressure and deadline casualties.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct PlanReport {
     /// Sharded-stage counters (all zero on unsharded engines).
@@ -446,30 +439,9 @@ pub struct PlanReport {
     pub queue_depth: u64,
     /// Largest queue depth observed.
     pub queue_peak: u64,
-    /// Time-extended-window cache hits.
-    pub cache_hits: u64,
-    /// Time-extended-window cache misses (materializations).
-    pub cache_misses: u64,
-    /// Windows evicted by the cache's capacity bound (zero when
-    /// unbounded).
-    pub cache_evictions: u64,
-    /// Distinct memoized windows.
-    pub cache_entries: u64,
-    /// Approximate bytes held by the cache.
-    pub cache_bytes: u64,
 }
 
 impl PlanReport {
-    /// Cache hit rate in `[0, 1]`; zero before any lookup.
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-
     /// Fraction of completed requests that fell through to the
     /// two-phase fallback.
     pub fn fallback_rate(&self) -> f64 {
@@ -549,21 +521,10 @@ impl fmt::Display for PlanReport {
             self.gate.cells_touched,
             self.gate.full_equivalent_cells
         )?;
-        writeln!(
+        write!(
             f,
             "  greedy resources: arena high-water ~{} B",
             self.arena_bytes
-        )?;
-        write!(
-            f,
-            "  timenet cache: {} hits / {} misses ({:.0}% hit), {} windows \
-             ({} evicted), ~{} B",
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_hit_rate() * 100.0,
-            self.cache_entries,
-            self.cache_evictions,
-            self.cache_bytes
         )
     }
 }
@@ -575,7 +536,6 @@ mod tests {
     #[test]
     fn stage_bookkeeping_and_rates() {
         let m = EngineMetrics::new();
-        let cache = TimeNetCache::new();
         m.record_attempt(Stage::Greedy, &StageOutcome::Won, Duration::from_micros(10));
         m.record_attempt(
             Stage::Greedy,
@@ -589,7 +549,7 @@ mod tests {
         m.record_enqueue();
         m.record_enqueue();
         m.record_dequeue();
-        let r = m.report(&cache);
+        let r = m.report();
         assert_eq!(r.greedy.attempts, 2);
         assert_eq!(r.greedy.wins, 1);
         assert_eq!(r.greedy.failures, 1);
@@ -598,7 +558,6 @@ mod tests {
         assert_eq!(r.submitted, 2);
         assert_eq!(r.queue_depth, 1);
         assert_eq!(r.queue_peak, 2);
-        assert_eq!(r.cache_hit_rate(), 0.0);
         assert_eq!(
             r.certs,
             CertStats {
@@ -610,15 +569,14 @@ mod tests {
         let text = r.to_string();
         assert!(text.contains("greedy"), "{text}");
         assert!(text.contains("certifier: 1 issued"), "{text}");
-        assert!(text.contains("timenet cache"), "{text}");
+        assert!(!text.contains("cache"), "{text}");
     }
 
     #[test]
     fn shard_counters_roll_up_and_render_conditionally() {
         let m = EngineMetrics::new();
-        let cache = TimeNetCache::new();
         // An unsharded engine's report hides the sharded rows.
-        let quiet = m.report(&cache).to_string();
+        let quiet = m.report().to_string();
         assert!(!quiet.contains("sharded"), "{quiet}");
         assert!(!quiet.contains("shards:"), "{quiet}");
 
@@ -639,7 +597,7 @@ mod tests {
             conflicts: 0,
             fell_back_joint: true,
         });
-        let r = m.report(&cache);
+        let r = m.report();
         assert_eq!(r.sharded.attempts, 1);
         assert_eq!(r.sharded.wins, 1);
         assert_eq!(
@@ -672,7 +630,6 @@ mod tests {
     #[test]
     fn report_is_a_view_over_the_registry() {
         let m = EngineMetrics::new();
-        let cache = TimeNetCache::new();
         m.record_attempt(Stage::Greedy, &StageOutcome::Won, Duration::from_micros(10));
         m.record_certification(true, true);
         m.record_enqueue();
@@ -694,7 +651,7 @@ mod tests {
             snap.histogram("chronus_engine_greedy_stage_ns"),
             Some((10_000, 1))
         );
-        let r = m.report(&cache);
+        let r = m.report();
         assert_eq!(r.greedy.attempts, 1);
         assert_eq!(r.greedy.total, Duration::from_micros(10));
 

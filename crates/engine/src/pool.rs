@@ -6,7 +6,7 @@
 #![allow(clippy::expect_used)]
 
 use crate::cache::TimeNetCache;
-use crate::fallback::{plan_with_chain_sharded, PlannedUpdate, SlackPolicy};
+use crate::fallback::{plan_with_chain, PlannedUpdate, SlackPolicy};
 use crate::metrics::{EngineMetrics, PlanReport};
 use crate::request::{RequestId, UpdateRequest};
 use chronus_core::shard::ShardingConfig;
@@ -37,12 +37,6 @@ pub struct EngineConfig {
     /// target. `None` (the default) skips the stage — plans ship
     /// exactly as the planners produced them.
     pub slack: Option<SlackPolicy>,
-    /// Bound on the shared time-extended-network cache, in windows;
-    /// the oldest window is evicted past it (see
-    /// [`TimeNetCache::bounded`]). `None` (the default) keeps the
-    /// cache unbounded, which suits batch runs; long-running services
-    /// should bound it.
-    pub cache_capacity: Option<usize>,
     /// Sharded multi-flow planning: when set, multi-flow requests run
     /// the sharded pre-stage — topology partitioning plus per-shard
     /// parallel planning over a shared-link capacity-reservation
@@ -58,7 +52,6 @@ impl Default for EngineConfig {
             default_deadline: Duration::from_secs(5),
             verify: VerifyConfig::default(),
             slack: None,
-            cache_capacity: None,
             sharding: None,
         }
     }
@@ -77,13 +70,6 @@ impl EngineConfig {
     #[must_use]
     pub fn with_slack(mut self, policy: SlackPolicy) -> Self {
         self.slack = Some(policy);
-        self
-    }
-
-    /// Bounds the time-extended-network cache (builder style).
-    #[must_use]
-    pub fn with_cache_capacity(mut self, windows: usize) -> Self {
-        self.cache_capacity = Some(windows);
         self
     }
 
@@ -107,7 +93,7 @@ struct Job {
 ///
 /// Workers are spawned once and live until the engine is dropped;
 /// batches stream through a shared MPMC queue. All workers share one
-/// time-extended-network cache and one metrics sink.
+/// metrics sink.
 ///
 /// ```
 /// use chronus_engine::{Engine, EngineConfig};
@@ -122,7 +108,7 @@ struct Job {
 pub struct Engine {
     tx: Option<Sender<Job>>,
     workers: Vec<JoinHandle<()>>,
-    cache: Arc<TimeNetCache>,
+    cache: TimeNetCache,
     metrics: Arc<EngineMetrics>,
     config: EngineConfig,
     draining: Arc<AtomicBool>,
@@ -163,21 +149,14 @@ impl Engine {
     pub fn new(config: EngineConfig) -> Self {
         assert!(config.workers > 0, "engine needs at least one worker");
         let (tx, rx) = unbounded::<Job>();
-        let cache = Arc::new(match config.cache_capacity {
-            Some(cap) => TimeNetCache::bounded(cap),
-            None => TimeNetCache::new(),
-        });
         let metrics = Arc::new(EngineMetrics::new());
         let draining = Arc::new(AtomicBool::new(false));
         let leftovers = Arc::new(Mutex::new(Vec::new()));
         let workers = (0..config.workers)
             .map(|i| {
                 let rx: Receiver<Job> = rx.clone();
-                let cache = cache.clone();
                 let metrics = metrics.clone();
-                let verify = config.verify;
-                let slack = config.slack;
-                let sharding = config.sharding;
+                let config = config.clone();
                 let draining = draining.clone();
                 let leftovers = leftovers.clone();
                 thread::Builder::new()
@@ -203,15 +182,7 @@ impl Engine {
                                 request = job.request.id.0
                             )
                             .entered();
-                            let planned = plan_with_chain_sharded(
-                                &job.request,
-                                &cache,
-                                &metrics,
-                                &mut ws,
-                                &verify,
-                                slack.as_ref(),
-                                sharding.as_ref(),
-                            );
+                            let planned = plan_with_chain(&job.request, &config, &metrics, &mut ws);
                             // A dead reply channel means the batch was
                             // abandoned; planning the rest of the queue
                             // is still correct, so just keep going.
@@ -224,7 +195,7 @@ impl Engine {
         Engine {
             tx: Some(tx),
             workers,
-            cache,
+            cache: TimeNetCache::new(),
             metrics,
             config,
             draining,
@@ -279,9 +250,9 @@ impl Engine {
             .expect("one answer for one request")
     }
 
-    /// Snapshot of the engine's planning metrics and cache state.
+    /// Snapshot of the engine's planning metrics.
     pub fn report(&self) -> PlanReport {
-        self.metrics.report(&self.cache)
+        self.metrics.report()
     }
 
     /// The engine's live metrics (its scoped registry lives inside;
@@ -290,7 +261,9 @@ impl Engine {
         &self.metrics
     }
 
-    /// The shared time-extended-network cache (for inspection).
+    /// An unbounded memo of materialized time-extended windows for
+    /// callers that time materialization themselves. Planning never
+    /// reads or fills it.
     pub fn cache(&self) -> &TimeNetCache {
         &self.cache
     }
@@ -336,7 +309,7 @@ impl Engine {
         let mut leftovers = std::mem::take(&mut *self.leftovers.lock());
         leftovers.sort_by_key(|id| id.0);
         DrainReport {
-            planned: self.metrics.report(&self.cache).completed,
+            planned: self.metrics.report().completed,
             leftovers,
         }
     }
@@ -379,15 +352,6 @@ mod tests {
         assert_eq!(report.completed, 8);
         assert_eq!(report.certs.issued, 8);
         assert_eq!(report.certs.failed + report.certs.skipped, 0);
-        // All requests share one cache key; only workers racing on the
-        // cold key materialize more than once.
-        assert_eq!(report.cache_entries, 1);
-        assert_eq!(report.cache_hits + report.cache_misses, 8);
-        assert!(
-            (1..=3).contains(&report.cache_misses),
-            "misses {}",
-            report.cache_misses
-        );
         assert!(report.queue_peak >= 1);
     }
 
@@ -463,30 +427,6 @@ mod tests {
         let report = engine.drain();
         assert_eq!(report.planned, 3);
         assert!(report.leftovers.is_empty());
-    }
-
-    #[test]
-    fn bounded_cache_keeps_resident_state_capped() {
-        use chronus_net::reversal_instance;
-        let engine = Engine::new(EngineConfig::with_workers(1).with_cache_capacity(2));
-        // Distinct topologies -> distinct cache keys.
-        for n in [4, 5, 6, 7] {
-            let inst = Arc::new(reversal_instance(n, 2, 1));
-            let plans = engine.plan_instances(vec![inst]);
-            assert_eq!(plans.len(), 1);
-        }
-        let report = engine.report();
-        assert!(
-            report.cache_entries <= 2,
-            "entries {}",
-            report.cache_entries
-        );
-        assert!(
-            report.cache_evictions >= 2,
-            "evictions {}",
-            report.cache_evictions
-        );
-        assert!(report.to_string().contains("evicted"));
     }
 
     #[test]

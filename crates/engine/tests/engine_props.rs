@@ -124,21 +124,4 @@ fn fifty_flow_batch_plans_and_certifies() {
     let report = engine.report();
     assert_eq!(report.completed, 50);
     assert_eq!(report.greedy.wins, 50);
-    // Six distinct shapes → six memoized windows. Workers racing on
-    // a cold key may each materialize it once (the cache trades a
-    // duplicate build for lock-free materialization), so the miss
-    // count is bounded by shapes × workers rather than exact.
-    assert_eq!(report.cache_entries, 6);
-    assert_eq!(report.cache_hits + report.cache_misses, 50);
-    assert!(report.cache_misses >= 6);
-    assert!(
-        report.cache_misses <= 6 * 4,
-        "misses {}",
-        report.cache_misses
-    );
-    assert!(
-        report.cache_hit_rate() > 0.5,
-        "rate {}",
-        report.cache_hit_rate()
-    );
 }

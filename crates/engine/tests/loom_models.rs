@@ -9,8 +9,9 @@
 //!
 //! 1. **publish/steal** — every job popped off the shared queue is
 //!    answered exactly once, no matter which worker steals it;
-//! 2. **cache insert race** — two workers racing a cold cache key both
-//!    leave with an identical window and the map keeps one entry;
+//! 2. **cache insert race** — two threads racing a cold key of the
+//!    window memo both leave with an identical window and the map
+//!    keeps one entry;
 //! 3. **shutdown vs enqueue** — closing the job channel after a burst
 //!    of sends loses nothing: workers drain the backlog, then exit.
 

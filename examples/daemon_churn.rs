@@ -52,13 +52,6 @@ fn percentile_ms(text: &str, series: &str, q: f64) -> f64 {
     f64::INFINITY
 }
 
-fn counter(text: &str, series: &str) -> f64 {
-    text.lines()
-        .find_map(|l| l.strip_prefix(&format!("{series} ")))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.0)
-}
-
 fn main() {
     let seed: u64 = std::env::args()
         .nth(1)
@@ -132,12 +125,6 @@ fn main() {
         shed_rate,
         shed_queue,
         armed
-    );
-    let hits = counter(&text, "chronus_daemon_cache_hits");
-    let misses = counter(&text, "chronus_daemon_cache_misses");
-    println!(
-        "warm cache: {hits} hits / {misses} misses ({:.0}% hit rate)",
-        100.0 * hits / (hits + misses).max(1.0)
     );
     println!("latency percentiles (log2-bucket upper bounds):");
     for series in [
