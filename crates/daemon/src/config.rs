@@ -7,7 +7,7 @@
 
 use crate::admission::AdmissionConfig;
 use chronus_clock::Nanos;
-use chronus_engine::{EngineConfig, SlackPolicy};
+use chronus_engine::EngineConfig;
 use serde_json::Value;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -221,8 +221,7 @@ impl DaemonConfig {
     /// with: slack certification on (the journal stores the certified
     /// tolerance).
     pub fn engine(&self) -> EngineConfig {
-        let cfg =
-            EngineConfig::with_workers(self.workers.max(1)).with_slack(SlackPolicy::default());
+        let cfg = EngineConfig::with_workers(self.workers.max(1)).with_slack();
         if self.engine_shards > 1 {
             cfg.with_sharding(chronus_engine::ShardingConfig {
                 shards: self.engine_shards,

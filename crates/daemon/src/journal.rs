@@ -429,6 +429,37 @@ mod tests {
         assert_eq!(roundtrip.plan_ns, 5_000);
     }
 
+    /// An arm record as journaled before the slack certificate shed its
+    /// per-switch tolerances and blocking counterexample: the motivating
+    /// example, dilated ×2, certified ±1 step.
+    const OLDER_ARM_LINE: &str = r#"{"certificate":{"boundaries":[{"acyclic":[2,3,4,0,1,5],"time":0},{"acyclic":[2,1,0,3,4,5],"time":2},{"acyclic":[4,0,3,2,1,5],"time":4}],"cohorts_covered":16,"link_bounds":[{"capacity":1,"dst":1,"peak":1,"segments":[[-5,2,1]],"src":0},{"capacity":1,"dst":3,"peak":1,"segments":[[2,11,1]],"src":0},{"capacity":1,"dst":2,"peak":0,"segments":[[-4,0,1]],"src":1},{"capacity":1,"dst":5,"peak":1,"segments":[[0,3,1],[6,14,1]],"src":1},{"capacity":1,"dst":1,"peak":1,"segments":[[5,13,1]],"src":2},{"capacity":1,"dst":3,"peak":1,"segments":[[-3,1,1]],"src":2},{"capacity":1,"dst":2,"peak":1,"segments":[[4,12,1]],"src":3},{"capacity":1,"dst":4,"peak":1,"segments":[[-2,2,1],[3,4,1]],"src":3},{"capacity":1,"dst":5,"peak":1,"segments":[[-1,3,1],[4,5,1]],"src":4}],"makespan":4,"segments_traced":4},"dilation":2,"epoch_ns":"1792248010512100129","id":7,"instance":{"flows":[{"demand":1,"final":[0,3,2,1,5],"id":0,"initial":[0,1,2,3,4,5]}],"network":{"links":[[0,1,1,1],[1,2,1,1],[2,3,1,1],[3,4,1,1],[4,5,1,1],[1,5,1,1],[0,3,1,1],[3,2,1,1],[2,1,1,1]],"switches":["v1","v2","v3","v4","v5","v6"]}},"op":"arm","plan_ns":417700,"priority":"normal","schedule":{"entries":[[0,0,2],[0,1,0],[0,2,2],[0,3,4]]},"slack":{"budget_exhausted":false,"counterexample":{"schedule":{"entries":[[0,0,1],[0,1,1],[0,2,1],[0,3,3]]},"violation":{"emitted":[-1,-1],"flow":0,"kind":"forwarding_loop","switch":1,"time":2}},"per_switch":[[0,2],[1,1],[2,2],[3,3]],"schedules_checked":21,"slack_steps":1},"span_id":32643,"tenant":"default"}"#;
+
+    #[test]
+    fn journals_with_retired_slack_fields_still_restore() {
+        let path = scratch("older-slack");
+        fs::create_dir_all(path.parent().unwrap()).unwrap();
+        fs::write(&path, format!("{OLDER_ARM_LINE}\n")).unwrap();
+        let replay = Journal::replay(&path).unwrap();
+        assert_eq!(replay.corrupt_lines, 0);
+        let [record] = replay.live.as_slice() else {
+            panic!("one live record, got {}", replay.live.len());
+        };
+        assert_eq!((record.id, record.dilation), (7, 2));
+        assert_eq!(record.certificate.check(&record.instance), Ok(()));
+        let slack = record.slack.as_ref().expect("slack certificate kept");
+        assert_eq!(slack.slack_steps, 1);
+        assert_eq!(slack.schedules_checked, 21);
+        assert!(!slack.budget_exhausted);
+        // Restore's budget is what it was when the record was written:
+        // one step of slack is Δ = step − 1 ns.
+        let step_ns = crate::DaemonConfig::default().step_ns;
+        assert_eq!(slack.delta_ns(step_ns), step_ns - 1);
+        // Re-journaling writes only the three remaining fields.
+        let rewritten = record.to_value();
+        let fields = rewritten.get("slack").and_then(Value::as_object);
+        assert_eq!(fields.map(Map::len), Some(3));
+    }
+
     #[test]
     fn missing_file_replays_empty() {
         let replay = Journal::replay(Path::new("/nonexistent/chronus/journal.jsonl")).unwrap();

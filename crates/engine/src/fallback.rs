@@ -39,15 +39,14 @@ use chronus_net::{TimeStep, UpdateInstance};
 use chronus_timenet::{Schedule, SimWorkspace};
 use chronus_trace::EnteredSpan;
 use chronus_verify::{
-    certify_two_phase, certify_with_slack, Certificate, SlackCertificate, SlackConfig, VerifyConfig,
+    certify_two_phase, certify_with, slack_certificate, Certificate, SlackCertificate, VerifyConfig,
 };
 use std::convert::Infallible;
 use std::fmt;
 use std::time::{Duration, Instant};
 
-/// The engine's slack policy: how much certified timing tolerance a
-/// timed plan should carry before it ships, and how far the engine may
-/// dilate the schedule to buy it.
+/// Certified tolerance (in steps) the slack stage aims for: it stops
+/// dilating once a factor certifies at least this much.
 ///
 /// A greedy/tree schedule packs dependent updates onto adjacent steps,
 /// which certifies zero slack — any single-step displacement of one
@@ -57,28 +56,12 @@ use std::time::{Duration, Instant};
 /// certificate's tolerance grows with the factor — makespan traded for
 /// robustness against exactly the timing faults `chronus-faults`
 /// injects.
-#[derive(Clone, Copy, Debug)]
-pub struct SlackPolicy {
-    /// Certified tolerance (in steps) a plan should reach; the engine
-    /// stops dilating once a factor certifies at least this much.
-    pub target_steps: TimeStep,
-    /// Largest dilation factor to try (1 = never dilate). When even
-    /// this factor misses the target, the best-slack candidate ships
-    /// anyway and the miss is counted in the metrics.
-    pub max_dilation: TimeStep,
-    /// Budget knobs for each slack-certificate search.
-    pub search: SlackConfig,
-}
+const SLACK_TARGET_STEPS: TimeStep = 1;
 
-impl Default for SlackPolicy {
-    fn default() -> Self {
-        SlackPolicy {
-            target_steps: 1,
-            max_dilation: 4,
-            search: SlackConfig::default(),
-        }
-    }
-}
+/// Largest dilation factor the slack stage tries (1 = never dilate).
+/// When even this factor misses [`SLACK_TARGET_STEPS`], the best-slack
+/// candidate ships anyway and the miss is counted in the metrics.
+const SLACK_MAX_DILATION: TimeStep = 4;
 
 /// A stage of the fallback chain, in chain order.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -190,7 +173,7 @@ pub struct PlannedUpdate {
     pub certificate: Option<Certificate>,
     /// The slack certificate for the shipped timed schedule: the
     /// largest per-switch timing tolerance ±Δ under which consistency
-    /// still holds. `None` when no [`SlackPolicy`] was configured or
+    /// still holds. `None` when the slack stage is off or
     /// the plan is the two-phase fallback (which has no timed
     /// schedule to perturb).
     pub slack: Option<SlackCertificate>,
@@ -272,7 +255,9 @@ fn stage_span_name(stage: Stage) -> &'static str {
 type SlackPurchase = (Schedule, SlackCertificate, Option<Certificate>, TimeStep);
 
 /// The slack stage: dilates a winning timed schedule until its slack
-/// certificate meets the policy target (or the factor cap).
+/// certificate meets [`SLACK_TARGET_STEPS`] (or the factor cap
+/// [`SLACK_MAX_DILATION`]), then certifies the shipped factor once
+/// more, with witnesses.
 ///
 /// The request's deadline (`deadline` after `started`) bounds the
 /// stage: once it has passed, no further factor is tried and the best
@@ -282,43 +267,42 @@ type SlackPurchase = (Schedule, SlackCertificate, Option<Certificate>, TimeStep)
 fn buy_slack(
     instance: &UpdateInstance,
     schedule: &Schedule,
-    policy: &SlackPolicy,
     started: Instant,
     deadline: Duration,
 ) -> Option<SlackPurchase> {
-    let mut best: Option<SlackPurchase> = None;
-    for factor in 1..=policy.max_dilation.max(1) {
+    let mut best: Option<(Schedule, SlackCertificate, TimeStep)> = None;
+    for factor in 1..=SLACK_MAX_DILATION {
         if started.elapsed() >= deadline {
             if factor == 1 {
                 let exact = SlackCertificate {
                     slack_steps: 0,
                     schedules_checked: 0,
                     budget_exhausted: true,
-                    per_switch: Vec::new(),
-                    counterexample: None,
                 };
                 return Some((schedule.clone(), exact, None, 1));
             }
             break;
         }
         let candidate = schedule.dilated(factor);
-        let Ok((cert, slack)) = certify_with_slack(instance, &candidate, &policy.search) else {
+        let Ok(slack) = slack_certificate(instance, &candidate) else {
             // A dilation should never break a consistent plan, but if
             // a factor fails to certify, skip it rather than ship it.
             continue;
         };
-        let reached = slack.slack_steps >= policy.target_steps;
+        let reached = slack.slack_steps >= SLACK_TARGET_STEPS;
         let improves = best
             .as_ref()
-            .is_none_or(|(_, b, _, _)| slack.slack_steps > b.slack_steps);
+            .is_none_or(|(_, b, _)| slack.slack_steps > b.slack_steps);
         if improves {
-            best = Some((candidate, slack, Some(cert), factor));
+            best = Some((candidate, slack, factor));
         }
         if reached {
             break;
         }
     }
-    best
+    let (shipped, slack, factor) = best?;
+    let cert = certify_with(instance, &shipped, &VerifyConfig::default()).ok()?;
+    Some((shipped, slack, Some(cert), factor))
 }
 
 /// A stage's winning plan and its consistency certificate.
@@ -533,16 +517,16 @@ pub fn plan_with_chain(
     } = chain;
 
     // The slack stage: timed winners get a certified timing tolerance,
-    // dilated as allowed until the policy target is met. Two-phase
+    // dilated up to the factor cap until the target is met. Two-phase
     // plans have no timed schedule to perturb and skip the stage.
     let mut slack = None;
     let mut dilation = 1;
-    if let (Some(policy), PlanKind::Timed(schedule)) = (&config.slack, &plan) {
+    if let (true, PlanKind::Timed(schedule)) = (config.slack, &plan) {
         let stage_start = Instant::now();
         let mut slack_span = chronus_trace::span!("engine.stage.slack").entered();
-        match buy_slack(instance, schedule, policy, started, req.deadline) {
+        match buy_slack(instance, schedule, started, req.deadline) {
             Some((shipped, slack_cert, cert, factor)) => {
-                let target_met = slack_cert.slack_steps >= policy.target_steps;
+                let target_met = slack_cert.slack_steps >= SLACK_TARGET_STEPS;
                 if slack_span.is_recording() {
                     slack_span.record("slack_steps", slack_cert.slack_steps);
                     slack_span.record("dilation", factor);
@@ -779,14 +763,9 @@ mod tests {
         let winner = planned.timed_schedule().expect("timed plan");
         // A zero deadline is spent before the first factor, so nothing
         // is certified.
-        let (shipped, slack, cert, factor) = buy_slack(
-            &inst,
-            winner,
-            &SlackPolicy::default(),
-            Instant::now(),
-            Duration::ZERO,
-        )
-        .expect("an expired stage still ships");
+        let (shipped, slack, cert, factor) =
+            buy_slack(&inst, winner, Instant::now(), Duration::ZERO)
+                .expect("an expired stage still ships");
         assert_eq!(factor, 1);
         assert_eq!(&shipped, winner);
         assert_eq!(slack.slack_steps, 0);

@@ -10,10 +10,10 @@
 //!   tree feasibility search → two-phase baseline, so every request
 //!   leaves with a consistency-preserving plan — deadline pressure
 //!   degrades plan *quality* (rule overhead), never correctness;
-//! - the **slack stage** ([`SlackPolicy`]): timed winners ship with a
-//!   slack certificate — the certified timing tolerance ±Δ — dilating
-//!   the schedule to buy tolerance when the planner's packing
-//!   certifies none;
+//! - the **slack stage** ([`EngineConfig::with_slack`]): timed winners
+//!   ship with a slack certificate — the certified timing tolerance
+//!   ±Δ — dilating the schedule (up to 4×, until one step is certified)
+//!   to buy tolerance when the planner's packing certifies none;
 //! - [`UpdateWatchdog`]: the deployment-side deadline tracker turning
 //!   that certified tolerance into re-arm-or-rollback decisions;
 //! - [`PlanReport`]: per-stage latencies and win counts, queue depths
@@ -52,8 +52,8 @@ mod watchdog;
 // callers that time materialization by hand.
 pub use cache::{flow_signature, planning_horizon, topology_hash, CacheKey, TimeNetCache};
 pub use fallback::{
-    plan_sequential, plan_with_chain, tp_flip_time, PlanError, PlanKind, PlannedUpdate,
-    SlackPolicy, Stage, StageAttempt, StageOutcome, TpBatchPlan,
+    plan_sequential, plan_with_chain, tp_flip_time, PlanError, PlanKind, PlannedUpdate, Stage,
+    StageAttempt, StageOutcome, TpBatchPlan,
 };
 pub use metrics::{CertStats, EngineMetrics, PlanReport, ShardStats, SlackStats, StageStats};
 pub use pool::{DrainReport, Engine, EngineConfig, PlanTicket};

@@ -235,7 +235,7 @@ impl EngineMetrics {
 
     /// Records one slack-stage success: a timed plan shipped with a
     /// slack certificate, dilated by `factor` (1 = undilated), with
-    /// `target_met` saying whether the policy target was reached.
+    /// `target_met` saying whether the stage's target was reached.
     pub fn record_slack(&self, cert: &SlackCertificate, factor: TimeStep, target_met: bool) {
         self.slack_certified.inc();
         if factor > 1 {
@@ -385,15 +385,15 @@ pub struct ShardStats {
 }
 
 /// Snapshot of the slack stage's counters across completed requests
-/// (all zero unless the engine was configured with a
-/// [`crate::SlackPolicy`]).
+/// (all zero unless the engine was configured
+/// [`with_slack`](crate::EngineConfig::with_slack)).
 #[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 pub struct SlackStats {
     /// Timed plans shipped with a slack certificate.
     pub certified: u64,
     /// Plans whose schedule was dilated (factor > 1) to buy slack.
     pub dilated: u64,
-    /// Plans that shipped below the policy's slack target even at the
+    /// Plans that shipped below the stage's slack target even at the
     /// maximum dilation factor.
     pub target_missed: u64,
     /// Slack stages where even the undilated winner failed to

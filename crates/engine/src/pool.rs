@@ -6,7 +6,7 @@
 #![allow(clippy::expect_used)]
 
 use crate::cache::TimeNetCache;
-use crate::fallback::{plan_with_chain, PlannedUpdate, SlackPolicy};
+use crate::fallback::{plan_with_chain, PlannedUpdate};
 use crate::metrics::{EngineMetrics, PlanReport};
 use crate::request::{RequestId, UpdateRequest};
 use chronus_core::shard::ShardingConfig;
@@ -31,12 +31,12 @@ pub struct EngineConfig {
     /// Enabled by default; benchmarks measuring raw planning latency
     /// can opt out with [`VerifyConfig::disabled`].
     pub verify: VerifyConfig,
-    /// Slack policy for timed winners: when set, every timed plan is
-    /// shipped with a slack certificate, dilating the schedule within
-    /// the policy's factor cap until the certified tolerance meets the
-    /// target. `None` (the default) skips the stage — plans ship
-    /// exactly as the planners produced them.
-    pub slack: Option<SlackPolicy>,
+    /// The slack stage for timed winners: when on, every timed plan is
+    /// shipped with a slack certificate, dilating the schedule up to a
+    /// fixed factor cap until the certified tolerance reaches one step.
+    /// Off (the default) skips the stage — plans ship exactly as the
+    /// planners produced them.
+    pub slack: bool,
     /// Sharded multi-flow planning: when set, multi-flow requests run
     /// the sharded pre-stage — topology partitioning plus per-shard
     /// parallel planning over a shared-link capacity-reservation
@@ -51,7 +51,7 @@ impl Default for EngineConfig {
             workers: thread::available_parallelism().map_or(2, |n| n.get().min(8)),
             default_deadline: Duration::from_secs(5),
             verify: VerifyConfig::default(),
-            slack: None,
+            slack: false,
             sharding: None,
         }
     }
@@ -66,10 +66,10 @@ impl EngineConfig {
         }
     }
 
-    /// Enables the slack stage with `policy` (builder style).
+    /// Enables the slack stage (builder style).
     #[must_use]
-    pub fn with_slack(mut self, policy: SlackPolicy) -> Self {
-        self.slack = Some(policy);
+    pub fn with_slack(mut self) -> Self {
+        self.slack = true;
         self
     }
 
@@ -431,8 +431,7 @@ mod tests {
 
     #[test]
     fn slack_policy_dilates_plans_to_the_target() {
-        use crate::fallback::SlackPolicy;
-        let engine = Engine::new(EngineConfig::with_workers(2).with_slack(SlackPolicy::default()));
+        let engine = Engine::new(EngineConfig::with_workers(2).with_slack());
         let inst = Arc::new(motivating_example());
         let plans = engine.plan_instances(vec![inst.clone(); 4]);
         for p in &plans {

@@ -17,7 +17,6 @@
 use crate::certificate::{BoundaryOrder, BoundaryWitness, IntervalLoad, LinkBound, Violation};
 use crate::{Certificate, SlackCertificate};
 use chronus_net::{FlowId, SwitchId};
-use chronus_timenet::{schedule_from_value, schedule_to_value};
 use serde_json::{Map, Value};
 use std::fmt;
 
@@ -351,26 +350,8 @@ pub fn violation_from_value(v: &Value) -> R<Violation> {
     }
 }
 
-/// Encodes a slack certificate (including the blocking counterexample
-/// when the search recorded one); inverse of [`slack_from_value`].
+/// Encodes a slack certificate; inverse of [`slack_from_value`].
 pub fn slack_to_value(slack: &SlackCertificate) -> Value {
-    let per_switch = slack
-        .per_switch
-        .iter()
-        .map(|(s, k)| {
-            Value::Array(vec![
-                Value::Number(f64::from(s.0)),
-                Value::from_i64_exact(*k),
-            ])
-        })
-        .collect();
-    let counterexample = match &slack.counterexample {
-        None => Value::Null,
-        Some((schedule, violation)) => obj(vec![
-            ("schedule", schedule_to_value(schedule)),
-            ("violation", violation_to_value(violation)),
-        ]),
-    };
     obj(vec![
         ("slack_steps", Value::from_i64_exact(slack.slack_steps)),
         (
@@ -378,49 +359,20 @@ pub fn slack_to_value(slack: &SlackCertificate) -> Value {
             Value::from_u64_exact(slack.schedules_checked as u64),
         ),
         ("budget_exhausted", Value::Bool(slack.budget_exhausted)),
-        ("per_switch", Value::Array(per_switch)),
-        ("counterexample", counterexample),
     ])
 }
 
-/// Decodes a slack certificate written by [`slack_to_value`].
+/// Decodes a slack certificate written by [`slack_to_value`]. Fields are
+/// looked up by name and others are ignored, so older records carrying
+/// the since-dropped diagnostics (per-switch tolerances, the blocking
+/// perturbation) still decode.
 pub fn slack_from_value(v: &Value) -> R<SlackCertificate> {
-    let per_switch = field_array(v, "per_switch")?
-        .iter()
-        .map(|p| {
-            let pair = p
-                .as_array()
-                .filter(|a| a.len() == 2)
-                .ok_or_else(|| CertCodecError::new("per_switch entry is not a pair"))?;
-            let s = switch_id(
-                pair.first()
-                    .ok_or_else(|| CertCodecError::new("per_switch pair too short"))?,
-                "per_switch switch",
-            )?;
-            let k = pair
-                .get(1)
-                .and_then(Value::as_i64_exact)
-                .ok_or_else(|| CertCodecError::new("per_switch tolerance not an i64"))?;
-            Ok((s, k))
-        })
-        .collect::<R<Vec<_>>>()?;
-    let counterexample = match member(v, "counterexample")? {
-        Value::Null => None,
-        ce => {
-            let schedule = schedule_from_value(member(ce, "schedule")?)
-                .map_err(|e| CertCodecError::new(e.to_string()))?;
-            let violation = violation_from_value(member(ce, "violation")?)?;
-            Some((schedule, violation))
-        }
-    };
     Ok(SlackCertificate {
         slack_steps: field_i64(v, "slack_steps")?,
         schedules_checked: field_usize(v, "schedules_checked")?,
         budget_exhausted: member(v, "budget_exhausted")?
             .as_bool()
             .ok_or_else(|| CertCodecError::new("`budget_exhausted` is not a bool"))?,
-        per_switch,
-        counterexample,
     })
 }
 

@@ -51,9 +51,7 @@ pub use codec::{
 };
 pub use compose::compose_certificates;
 pub use mutate::{apply_mutation, find_rejected_mutant, mutations, Mutation};
-pub use slack::{
-    certify_with_slack, check_slack, slack_certificate, SlackCertificate, SlackConfig,
-};
+pub use slack::{check_slack, slack_certificate, SlackCertificate, MAX_SLACK_STEPS, SLACK_BUDGET};
 pub use trace::{analyze, analyze_two_phase, Analysis};
 
 use chronus_net::{SwitchId, TimeStep, UpdateInstance};

@@ -31,33 +31,21 @@
 //! a guaranteed tolerance of `Δ = k·step − 1 ns` for any step length.
 //!
 //! The check is exhaustive and exponential in the number of schedule
-//! entries, so a `budget` caps the certifications spent; a budget
-//! exhaustion stops *growth* but never weakens what was already
-//! certified.
+//! entries, so the whole search is budgeted: it attempts tolerances up
+//! to [`MAX_SLACK_STEPS`] and spends at most [`SLACK_BUDGET`]
+//! perturbed-schedule certifications. A budget exhaustion stops
+//! *growth* but never weakens what was already certified.
 
 use crate::VerifyConfig;
-use crate::{certify_with, Certificate, Violation};
+use crate::{certify_with, Violation};
 use chronus_net::{FlowId, SwitchId, TimeStep, UpdateInstance};
 use chronus_timenet::Schedule;
-use std::collections::BTreeMap;
 
-/// Knobs for the slack search.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SlackConfig {
-    /// Largest tolerance (in steps) to attempt to certify.
-    pub max_steps: TimeStep,
-    /// Cap on perturbed-schedule certifications across the search.
-    pub budget: usize,
-}
+/// Largest tolerance (in steps) the slack search attempts to certify.
+pub const MAX_SLACK_STEPS: TimeStep = 4;
 
-impl Default for SlackConfig {
-    fn default() -> Self {
-        SlackConfig {
-            max_steps: 4,
-            budget: 4_096,
-        }
-    }
-}
+/// Cap on perturbed-schedule certifications across one slack search.
+pub const SLACK_BUDGET: usize = 4_096;
 
 /// Proof that a schedule tolerates uniform per-switch timing error.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -71,14 +59,6 @@ pub struct SlackCertificate {
     /// The search stopped growing `k` because the certification
     /// budget ran out (the reported `slack_steps` is still sound).
     pub budget_exhausted: bool,
-    /// Per-switch diagnostic tolerances: the largest single-switch
-    /// displacement each switch individually survives (min over its
-    /// schedule entries), independent of the others. Always ≥ the
-    /// uniform `slack_steps`.
-    pub per_switch: Vec<(SwitchId, TimeStep)>,
-    /// The perturbed schedule and violation that blocked
-    /// `slack_steps + 1`, when the search got that far.
-    pub counterexample: Option<(Schedule, Violation)>,
 }
 
 impl SlackCertificate {
@@ -125,12 +105,11 @@ impl std::fmt::Display for SlackCertificate {
 pub fn slack_certificate(
     instance: &UpdateInstance,
     schedule: &Schedule,
-    config: &SlackConfig,
 ) -> Result<SlackCertificate, Violation> {
     let mut span = chronus_trace::span!(
         "verify.slack",
         entries = schedule.len() as u64,
-        max_steps = config.max_steps
+        max_steps = MAX_SLACK_STEPS
     )
     .entered();
     // Load bounds and witnesses are irrelevant here; only the verdict
@@ -145,9 +124,8 @@ pub fn slack_certificate(
     let mut checked = 0usize;
     let mut slack: TimeStep = 0;
     let mut budget_exhausted = false;
-    let mut counterexample = None;
 
-    'grow: for k in 1..=config.max_steps.max(0) {
+    'grow: for k in 1..=MAX_SLACK_STEPS {
         // Displacement menu per entry for tolerance k: −(k−1)…+k,
         // clamped so no entry moves below step 0.
         let menus: Vec<Vec<TimeStep>> = entries
@@ -161,7 +139,7 @@ pub fn slack_certificate(
             .iter()
             .try_fold(1usize, |cube, menu| cube.checked_mul(menu.len()))
             .and_then(|cube| checked.checked_add(cube))
-            .is_some_and(|total| total <= config.budget);
+            .is_some_and(|total| total <= SLACK_BUDGET);
         if !within_budget {
             budget_exhausted = true;
             break;
@@ -183,8 +161,7 @@ pub fn slack_certificate(
                 perturbed.set(flow, switch, t + offset);
             }
             checked += 1;
-            if let Err(violation) = certify_with(instance, &perturbed, &quick) {
-                counterexample = Some((perturbed, violation));
+            if certify_with(instance, &perturbed, &quick).is_err() {
                 break 'grow;
             }
             // Advance the odometer.
@@ -204,8 +181,6 @@ pub fn slack_certificate(
         slack = k;
     }
 
-    let per_switch = per_switch_tolerances(instance, schedule, &entries, config, &quick);
-
     if span.is_recording() {
         span.record("slack_steps", slack);
         span.record("schedules_checked", checked as u64);
@@ -214,43 +189,7 @@ pub fn slack_certificate(
         slack_steps: slack,
         schedules_checked: checked,
         budget_exhausted,
-        per_switch,
-        counterexample,
     })
-}
-
-/// For each switch: the largest single-switch displacement tolerance
-/// (min over that switch's entries), holding every other entry at its
-/// nominal step.
-fn per_switch_tolerances(
-    instance: &UpdateInstance,
-    schedule: &Schedule,
-    entries: &[(FlowId, SwitchId, TimeStep)],
-    config: &SlackConfig,
-    quick: &VerifyConfig,
-) -> Vec<(SwitchId, TimeStep)> {
-    let mut by_switch: BTreeMap<SwitchId, TimeStep> = BTreeMap::new();
-    for &(flow, switch, t) in entries {
-        let mut tol: TimeStep = 0;
-        'single: for j in 1..=config.max_steps.max(0) {
-            for offset in (-(j - 1)).max(-t)..=j {
-                if offset == 0 {
-                    continue;
-                }
-                let mut perturbed = schedule.clone();
-                perturbed.set(flow, switch, t + offset);
-                if certify_with(instance, &perturbed, quick).is_err() {
-                    break 'single;
-                }
-            }
-            tol = j;
-        }
-        by_switch
-            .entry(switch)
-            .and_modify(|cur| *cur = (*cur).min(tol))
-            .or_insert(tol);
-    }
-    by_switch.into_iter().collect()
 }
 
 /// Re-validates a slack certificate the cheap way: spot-checks that
@@ -279,18 +218,6 @@ pub fn check_slack(
     Ok(())
 }
 
-/// Convenience: the certificate for the nominal schedule, if the
-/// caller also wants the load bounds alongside the slack result.
-pub fn certify_with_slack(
-    instance: &UpdateInstance,
-    schedule: &Schedule,
-    config: &SlackConfig,
-) -> Result<(Certificate, SlackCertificate), Violation> {
-    let cert = certify_with(instance, schedule, &VerifyConfig::default())?;
-    let slack = slack_certificate(instance, schedule, config)?;
-    Ok((cert, slack))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,39 +238,21 @@ mod tests {
     fn nominal_violation_propagates() {
         let inst = motivating_example();
         let naive = Schedule::all_at_zero(&inst);
-        assert!(slack_certificate(&inst, &naive, &SlackConfig::default()).is_err());
+        assert!(slack_certificate(&inst, &naive).is_err());
     }
 
     #[test]
     fn staged_plan_has_positive_slack_or_a_counterexample() {
         let inst = motivating_example();
-        let cert = slack_certificate(&inst, &staged(), &SlackConfig::default())
-            .expect("staged plan certifies");
+        let cert = slack_certificate(&inst, &staged()).expect("staged plan certifies");
         assert!(cert.schedules_checked > 0);
-        // Either some tolerance was certified, or the blocking
-        // perturbation is reported.
+        // Either some tolerance was certified and re-validates, or a
+        // k=1 perturbation violated: the 16-corner cube is well within
+        // budget, so the budget cannot be what stopped the search.
         if cert.slack_steps == 0 {
-            let (bad, violation) = cert
-                .counterexample
-                .clone()
-                .expect("k=1 failure names a witness");
-            assert!(certify_with(
-                &inst,
-                &bad,
-                &VerifyConfig {
-                    enabled: true,
-                    witnesses: false
-                }
-            )
-            .is_err());
-            let _ = violation.to_string();
+            assert!(!cert.budget_exhausted, "{cert}");
         } else {
             assert!(check_slack(&inst, &staged(), &cert).is_ok());
-        }
-        // Diagnostics cover every scheduled switch.
-        assert_eq!(cert.per_switch.len(), 4);
-        for &(_, tol) in &cert.per_switch {
-            assert!(tol >= cert.slack_steps, "per-switch ≥ uniform");
         }
         println!("{cert}");
     }
@@ -356,16 +265,14 @@ mod tests {
         // uniform slack is 0. Stretching every gap (t → 2t) trades
         // makespan for tolerance: the dilated plan certifies ±1 step.
         let inst = motivating_example();
-        let tight = slack_certificate(&inst, &staged(), &SlackConfig::default())
-            .expect("staged plan certifies");
+        let tight = slack_certificate(&inst, &staged()).expect("staged plan certifies");
         assert_eq!(tight.slack_steps, 0, "{tight}");
 
         let dilated = Schedule::from_pairs(
             FlowId(0),
             [(sid(1), 0), (sid(2), 2), (sid(0), 4), (sid(3), 4)],
         );
-        let cert = slack_certificate(&inst, &dilated, &SlackConfig::default())
-            .expect("dilated plan certifies");
+        let cert = slack_certificate(&inst, &dilated).expect("dilated plan certifies");
         assert!(cert.slack_steps >= 1, "{cert}");
         assert!(cert.delta_ns(100_000_000) >= 99_999_999);
         assert!(check_slack(&inst, &dilated, &cert).is_ok());
@@ -377,8 +284,6 @@ mod tests {
             slack_steps: 2,
             schedules_checked: 1,
             budget_exhausted: false,
-            per_switch: Vec::new(),
-            counterexample: None,
         };
         let step = 100_000_000i128; // 100 ms
         assert_eq!(cert.delta_ns(step), 199_999_999);
@@ -395,16 +300,33 @@ mod tests {
         assert!(!zero.covers_residual(1, step));
     }
 
+    /// A certifying schedule for a reversal migration over an
+    /// `n`-switch line: the exit shortcut first, then each reversed hop
+    /// once everything downstream of it is new, and the entry shortcut
+    /// last — `n − 1` entries.
+    fn reversal(n: u32) -> (UpdateInstance, Schedule) {
+        let inst = chronus_net::reversal_instance(n as usize, 2, 1);
+        let mut pairs: Vec<(SwitchId, TimeStep)> = (1..n - 1)
+            .map(|i| (sid(i), TimeStep::from(i) - 1))
+            .collect();
+        pairs.push((sid(0), TimeStep::from(n) - 2));
+        (inst, Schedule::from_pairs(FlowId(0), pairs))
+    }
+
     #[test]
     fn budget_exhaustion_is_reported_not_fatal() {
-        let inst = motivating_example();
-        let cfg = SlackConfig {
-            max_steps: 4,
-            budget: 3, // can't even finish k = 1
-        };
-        let cert = slack_certificate(&inst, &staged(), &cfg).expect("nominal certifies");
+        // 14 entries: the k = 1 hypercube has 2^14 corners, more than
+        // the budget but far from overflowing `usize`.
+        let (inst, s) = reversal(15);
+        assert_eq!(s.len(), 14);
+        assert!(1usize << s.len() > SLACK_BUDGET);
+        let cert = slack_certificate(&inst, &s).expect("nominal certifies");
         assert_eq!(cert.slack_steps, 0);
         assert!(cert.budget_exhausted);
+        assert_eq!(
+            cert.schedules_checked, 0,
+            "an over-budget cube is not walked"
+        );
     }
 
     #[test]
@@ -413,21 +335,12 @@ mod tests {
         // entries, so even the k = 1 hypercube (2^69 corners) overflows
         // `usize`. The search must report the budget as exhausted
         // instead of wrapping the corner count and walking the cube.
-        let n = 70u32;
-        let inst = chronus_net::reversal_instance(n as usize, 2, 1);
-        // Exit shortcut first, then each reversed hop once everything
-        // downstream of it is new, and the entry shortcut last.
-        let mut pairs: Vec<(SwitchId, TimeStep)> = (1..n - 1)
-            .map(|i| (sid(i), TimeStep::from(i) - 1))
-            .collect();
-        pairs.push((sid(0), TimeStep::from(n) - 2));
-        let s = Schedule::from_pairs(FlowId(0), pairs);
+        let (inst, s) = reversal(70);
         assert!(s.len() >= 64);
-        let cfg = SlackConfig::default();
-        let cert = slack_certificate(&inst, &s, &cfg).expect("nominal certifies");
+        let cert = slack_certificate(&inst, &s).expect("nominal certifies");
         assert!(cert.budget_exhausted, "{cert}");
         assert_eq!(cert.slack_steps, 0);
-        assert!(cert.schedules_checked <= cfg.budget);
+        assert!(cert.schedules_checked <= SLACK_BUDGET);
     }
 
     #[test]
@@ -436,7 +349,7 @@ mod tests {
         // next hop, every downstream switch keeps its old rule, and
         // capacities are ample — moving the single update around can
         // neither loop, blackhole, nor congest, so the slack reaches
-        // max_steps.
+        // MAX_SLACK_STEPS.
         let mut b = chronus_net::NetworkBuilder::with_switches(4);
         b.add_link(sid(0), sid(1), 10, 1).unwrap();
         b.add_link(sid(1), sid(2), 10, 1).unwrap();
@@ -452,12 +365,8 @@ mod tests {
         .unwrap();
         let inst = UpdateInstance::single(net, flow).unwrap();
         let s = Schedule::from_pairs(FlowId(0), [(sid(0), 1)]);
-        let cfg = SlackConfig {
-            max_steps: 3,
-            budget: 1_000,
-        };
-        let cert = slack_certificate(&inst, &s, &cfg).expect("certifies");
-        assert_eq!(cert.slack_steps, 3, "{cert}");
+        let cert = slack_certificate(&inst, &s).expect("certifies");
+        assert_eq!(cert.slack_steps, MAX_SLACK_STEPS, "{cert}");
         assert!(!cert.budget_exhausted);
         assert!(check_slack(&inst, &s, &cert).is_ok());
     }
